@@ -39,14 +39,12 @@ from .fully_dynamic_sensitivity import (
     fd_update,
 )
 from .graph_core import (
-    AugmentedView,
     ComponentLabeling,
     Graph,
     StatePartition,
     UpdateBatch,
     connected_components,
     dump_graph,
-    induced_augmented,
     load_graph,
     parse_query_text,
     parse_update_text,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActiveUpdate",
-    "AugmentedView",
     "BruteForceOracle",
     "BruteForceReference",
     "CapacityError",
@@ -99,7 +96,6 @@ __all__ = [
     "incremental_query",
     "incremental_query_probed",
     "incremental_update",
-    "induced_augmented",
     "load_graph",
     "make_oracle",
     "oracle_names",

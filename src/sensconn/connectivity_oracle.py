@@ -1,9 +1,10 @@
 """Decremental connectivity oracles plus the activation-path predicates that
 cross-check every engine in this package.
 
-An oracle answers connectivity over a fixed base graph after at most one
-batch of vertex deletions per cycle. Implementations register under a string
-name and are selected by the fully dynamic engine and the CLI.
+An oracle answers connectivity over a fixed graph restricted to a set of
+active vertices, after at most one batch of vertex deletions per cycle.
+Implementations register under a string name and are selected by the fully
+dynamic engine and the CLI.
 """
 
 from __future__ import annotations
@@ -38,22 +39,32 @@ class OracleCosts:
 
 
 class DecrementalOracle(abc.ABC):
-    """Connectivity oracle over a fixed graph, sensitivity-style lifecycle.
+    """Connectivity oracle over a fixed graph restricted to a set of active
+    vertices, with a sensitivity-style lifecycle.
 
-    The oracle starts fresh; ``delete_batch`` may be called exactly once per
-    cycle, after which queries see the survivor graph; ``reset`` rolls back
-    to the fresh state. Queries are legal in either phase and always reflect
-    the base graph minus the current deleted set.
+    The oracle answers connectivity in ``graph[active - deleted]``; ``active``
+    is a vertex bitmask and ``None`` means every vertex. It starts fresh;
+    ``delete_batch`` may be called exactly once per cycle, after which queries
+    see the survivors; ``reset`` rolls back to the fresh state. Queries are
+    legal in either phase. Query endpoints and deleted vertices must lie in
+    ``active``.
 
-    Instances are single-writer: delete_batch/reset need exclusive access,
-    queries between updates may run from any number of readers.
+    Instances are single-threaded: every call, queries included, updates
+    ``costs`` (a query adds to ``t_q``), so calls on one oracle must not
+    overlap.
     """
 
     name = "abstract"
     d_dependent = False  # True for implementations sized to a fixed batch capacity
 
-    def __init__(self, graph, d: int | None = None):
+    def __init__(self, graph, active: int | None = None, d: int | None = None):
+        full = all_bits(graph.n)
+        if active is None:
+            active = full
+        elif active & ~full:
+            raise ContractViolation(f"active mask names vertices outside [0, {graph.n})")
         self.graph = graph
+        self.active = active
         self.capacity = d
         self.costs = OracleCosts()
         self.deleted: frozenset[int] = frozenset()
@@ -64,17 +75,19 @@ class DecrementalOracle(abc.ABC):
         if self.phase != FRESH:
             raise PhaseError(f"{self.name} oracle already holds a deletion batch; reset() first")
         vs = frozenset(vertices)
+        n, active = self.graph.n, self.active
         for v in vs:
-            if not 0 <= v < self.graph.n:
-                raise ContractViolation(f"unknown vertex {v}")
+            if not (0 <= v < n and active >> v & 1):
+                raise ContractViolation(f"cannot delete {v}: not active in this oracle")
         self._apply_delete(vs)
         self.deleted = vs
         self.phase = UPDATED
 
     def query(self, u: int, v: int) -> bool:
+        n, active = self.graph.n, self.active
         for x in (u, v):
-            if not 0 <= x < self.graph.n:
-                raise QueryEndpointError(f"vertex {x} outside [0, {self.graph.n})")
+            if not (0 <= x < n and active >> x & 1):
+                raise QueryEndpointError(f"vertex {x} is not active in this oracle")
             if x in self.deleted:
                 raise QueryEndpointError(f"vertex {x} is deleted")
         return self._connected(u, v)
@@ -106,12 +119,9 @@ def register_oracle(cls):
     return cls
 
 
-def make_oracle(name: str, graph, d: int | None = None) -> DecrementalOracle:
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown oracle factory {name!r}; known: {oracle_names()}") from None
-    return cls(graph, d=d)
+def make_oracle(name: str, graph, active: int | None = None, d: int | None = None) -> DecrementalOracle:
+    """Build the registered oracle ``name`` over ``graph[active]``."""
+    return oracle_class(name)(graph, active, d=d)
 
 
 def oracle_class(name: str) -> type[DecrementalOracle]:
@@ -135,15 +145,14 @@ class RebuildOracle(DecrementalOracle):
 
     def _preprocess(self):
         g = self.graph
-        self._all = all_bits(g.n)
-        self._fresh_labels, _ = component_labels(g, self._all)
+        self._fresh_labels, _ = component_labels(g, self.active)
         self._labels = self._fresh_labels
         self.costs.t_p += g.n + 2 * g.m
         self.costs.space_s = g.n + word_count(g.n)
 
     def _apply_delete(self, vertices):
         g = self.graph
-        self._labels, _ = component_labels(g, self._all & ~mask_of(vertices))
+        self._labels, _ = component_labels(g, self.active & ~mask_of(vertices))
         self.costs.t_u += g.n + 2 * g.m
 
     def _apply_reset(self):
@@ -161,19 +170,19 @@ class BruteForceOracle(DecrementalOracle):
     name = "bruteforce"
 
     def _preprocess(self):
-        self._active = all_bits(self.graph.n)
+        self._alive = self.active
         self.costs.t_p += 1
         self.costs.space_s = word_count(self.graph.n)
 
     def _apply_delete(self, vertices):
-        self._active = all_bits(self.graph.n) & ~mask_of(vertices)
+        self._alive = self.active & ~mask_of(vertices)
         self.costs.t_u += len(vertices) + 1
 
     def _apply_reset(self):
-        self._active = all_bits(self.graph.n)
+        self._alive = self.active
 
     def _connected(self, u, v):
-        reach = reachable_mask(self.graph, self._active, u)
+        reach = reachable_mask(self.graph, self._alive, u)
         self.costs.t_q += reach.bit_count()
         return has_bit(reach, v)
 

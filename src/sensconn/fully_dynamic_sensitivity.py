@@ -1,8 +1,9 @@
 """Fully dynamic engine: batches may deactivate and activate vertices.
 
-Preprocessing wraps a decremental oracle around the base active graph and
-around every one- and two-vertex augmentation of it, all sharing the base
-adjacency. An update pushes the deactivations into the oracles it will
+Preprocessing builds a decremental oracle over the base active graph and over
+every one- and two-vertex augmentation of it; each is the input graph
+restricted to its own active vertex mask, so every oracle speaks the original
+vertex ids. An update pushes the deactivations into the oracles it will
 actually consult, then builds the bridge graph over the activated vertices
 from pair-oracle queries. A query needs at most 1 + 2d oracle queries.
 
@@ -14,37 +15,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping
 
 from .connectivity_oracle import DecrementalOracle, make_oracle, oracle_class
 from .errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
-from .graph_core import AugmentedView, Graph, StatePartition, induced_augmented
+from .graph_core import Graph, StatePartition, UpdateBatch
 from .incremental_sensitivity import SuperGraph, build_supergraph
-
-
-@dataclass
-class OracleHandle:
-    """One oracle plus the id translation into its graph."""
-
-    oracle: DecrementalOracle
-    to_local: Mapping[int, int]
-    view: object
 
 
 @dataclass
 class FullyDynamicStructure:
     """Oracle family for one graph and partition.
 
-    fd_update and fd_rollback need exclusive access; fd_query calls between
-    them are read-only and safe to run concurrently.
+    Single-threaded: every call needs exclusive access, fd_query included,
+    because each oracle query adds to that oracle's ``costs.t_q``.
     """
 
     graph: Graph
     partition: StatePartition
     factory: str
-    on_handle: OracleHandle
-    single: dict[int, OracleHandle]  # inactive vertex -> oracle over base + that vertex
-    pairs: dict[frozenset[int], OracleHandle]  # pair of inactive vertices -> oracle
+    base: DecrementalOracle  # over the base active vertices
+    single: dict[int, DecrementalOracle]  # inactive vertex -> oracle over base + that vertex
+    pairs: dict[frozenset[int], DecrementalOracle]  # pair of inactive vertices -> oracle
     preprocess_probes: int
     session: "ActiveUpdate | None" = None
 
@@ -70,27 +61,23 @@ def build_fully_dynamic(
 ) -> FullyDynamicStructure:
     """Build oracles over the base active graph and all its augmentations.
 
-    Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles; the augmented
-    graphs share the base adjacency instead of copying it.
+    Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles, all over ``g``
+    with different active masks.
     """
-    base, base_remap = induced_augmented(g, p, ())
-    on_handle = OracleHandle(make_oracle(oracle, base, d=d), base_remap.to_local, base)
-    single = {}
-    for u in p.off_vertices:
-        view = AugmentedView(base, base_remap, g, (u,))
-        single[u] = OracleHandle(make_oracle(oracle, view, d=d), view.remap.to_local, view)
-    pairs = {}
-    for a, b in combinations(p.off_vertices, 2):
-        view = AugmentedView(base, base_remap, g, (a, b))
-        pairs[frozenset((a, b))] = OracleHandle(make_oracle(oracle, view, d=d), view.remap.to_local, view)
-    probes = on_handle.oracle.costs.t_p
-    probes += sum(h.oracle.costs.t_p for h in single.values())
-    probes += sum(h.oracle.costs.t_p for h in pairs.values())
+    base = make_oracle(oracle, g, p.on_mask, d=d)
+    single = {u: make_oracle(oracle, g, p.on_mask | 1 << u, d=d) for u in p.off_vertices}
+    pairs = {
+        frozenset((a, b)): make_oracle(oracle, g, p.on_mask | 1 << a | 1 << b, d=d)
+        for a, b in combinations(p.off_vertices, 2)
+    }
+    probes = base.costs.t_p
+    probes += sum(o.costs.t_p for o in single.values())
+    probes += sum(o.costs.t_p for o in pairs.values())
     return FullyDynamicStructure(
         graph=g,
         partition=p,
         factory=oracle,
-        on_handle=on_handle,
+        base=base,
         single=single,
         pairs=pairs,
         preprocess_probes=probes,
@@ -102,46 +89,31 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
     the bridge graph over the activated vertices from pair-oracle queries.
 
     Oracle-call accounting: delete calls = 1 + |I| + C(|I|, 2) and pair
-    queries = C(|I|, 2) where I is the activation set.
+    queries = C(|I|, 2) where I is the activation set. If any step raises,
+    the batch's oracles are reset before the exception propagates, so the
+    structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
-    p = s.partition
-    down = frozenset(deactivate)
-    up = frozenset(activate)
-    for v in down:
-        if not (0 <= v < p.n and p.is_on(v)):
-            raise ContractViolation(f"cannot deactivate {v}: not an active vertex")
-    for v in up:
-        if not (0 <= v < p.n) or p.is_on(v):
-            raise ContractViolation(f"cannot activate {v}: not an inactive vertex")
-
-    base_local = s.on_handle.to_local
-    deleted_local = tuple(sorted(base_local[x] for x in down))
-    # base vertices keep the same local ids in every augmented view, so one
-    # translated batch serves all oracles
-    touched = [s.on_handle.oracle]
-    s.on_handle.oracle.delete_batch(deleted_local)
-    batch = tuple(sorted(up))
-    for u in batch:
-        s.single[u].oracle.delete_batch(deleted_local)
-        touched.append(s.single[u].oracle)
-    for a, b in combinations(batch, 2):
-        h = s.pairs[frozenset((a, b))]
-        h.oracle.delete_batch(deleted_local)
-        touched.append(h.oracle)
-
-    def adjacent(x, y):
-        h = s.pairs[frozenset((x, y))]
-        return h.oracle.query(h.to_local[x], h.to_local[y])
-
-    sg = build_supergraph(batch, adjacent)
+    batch = UpdateBatch.for_partition(s.partition, deactivate, activate)
+    up = tuple(sorted(batch.activate))
+    oracles = [s.base]
+    oracles += (s.single[u] for u in up)
+    oracles += (s.pairs[frozenset(ab)] for ab in combinations(up, 2))
+    try:
+        for o in oracles:
+            o.delete_batch(batch.deactivate)
+        sg = build_supergraph(up, lambda x, y: s.pairs[frozenset((x, y))].query(x, y))
+    except BaseException:
+        for o in oracles:  # reset() on an oracle not yet pushed is a no-op
+            o.reset()
+        raise
     session = ActiveUpdate(
-        deactivated=down,
-        activated=up,
+        deactivated=batch.deactivate,
+        activated=batch.activate,
         supergraph=sg,
-        touched=tuple(touched),
-        delete_calls=len(touched),
+        touched=tuple(oracles),
+        delete_calls=len(oracles),
         pair_queries=sg.build_probes,
     )
     s.session = session
@@ -170,19 +142,18 @@ def fd_query_probed(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -
     calls = 0
     if not u_new and not v_new:
         calls += 1
-        if s.on_handle.oracle.query(s.on_handle.to_local[u], s.on_handle.to_local[v]):
+        if s.base.query(u, v):
             return True, calls
         for comp in sg.components:
             hit_u = hit_v = False
             for w in comp:
-                h = s.single[w]
-                wl = h.to_local[w]
+                o = s.single[w]
                 if not hit_u:
                     calls += 1
-                    hit_u = h.oracle.query(wl, h.to_local[u])
+                    hit_u = o.query(w, u)
                 if not hit_v:
                     calls += 1
-                    hit_v = h.oracle.query(wl, h.to_local[v])
+                    hit_v = o.query(w, v)
                 if hit_u and hit_v:
                     return True, calls
         return False, calls
@@ -191,9 +162,8 @@ def fd_query_probed(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -
     if v_new:
         u, v = v, u
     for w in sg.components[sg.component_of(u)]:
-        h = s.single[w]
         calls += 1
-        if h.oracle.query(h.to_local[w], h.to_local[v]):
+        if s.single[w].query(w, v):
             return True, calls
     return False, calls
 

@@ -1,5 +1,5 @@
-"""Static graphs, on/off vertex partitions, induced subgraph views and the
-text file formats every other module consumes.
+"""Static graphs, on/off vertex partitions, component labeling over an
+active vertex mask, and the text file formats every other module consumes.
 
 Graph file format (UTF-8 text, lines starting with '#' are ignored anywhere):
 
@@ -15,7 +15,7 @@ Query file: one ``u v`` pair per line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 from .bits import all_bits, has_bit, iter_bits, mask_of
 from .errors import ContractViolation, ParseError, QueryEndpointError
@@ -156,13 +156,6 @@ class UpdateBatch:
         return cls(down, up)
 
 
-class IdRemap(NamedTuple):
-    """Translation table between original vertex ids and a subgraph's ids."""
-
-    to_local: Mapping[int, int]
-    to_global: tuple[int, ...]
-
-
 def component_labels(g, active_mask: int) -> tuple[list[int], list[int]]:
     """Flood-fill labels over the active vertices of any object exposing
     ``n`` and ``neighbor_mask``. Returns (labels, per-component masks);
@@ -213,85 +206,6 @@ def reachable_mask(g, active_mask: int, source: int) -> int:
         frontier = grow & active_mask & ~reach
         reach |= frontier
     return reach
-
-
-def induced_augmented(g: Graph, p: StatePartition, extra: Iterable[int] = ()) -> tuple[Graph, IdRemap]:
-    """Materialize the subgraph induced by the active vertices plus ``extra``
-    inactive ones. Ids are remapped densely in ascending original order; the
-    remap table is returned alongside so callers translate at the boundary.
-    """
-    extras = tuple(sorted(set(extra)))
-    for v in extras:
-        if not 0 <= v < g.n:
-            raise ContractViolation(f"vertex {v} outside [0, {g.n})")
-        if p.is_on(v):
-            raise ContractViolation(f"vertex {v} is active; only inactive vertices can be added")
-    to_global = tuple(sorted(set(iter_bits(p.on_mask)) | set(extras)))
-    to_local = {v: i for i, v in enumerate(to_global)}
-    local_edges = []
-    for gv in to_global:
-        for w in g.adj[gv]:
-            if w > gv and w in to_local:
-                local_edges.append((to_local[gv], to_local[w]))
-    return Graph.from_edges(len(to_global), local_edges), IdRemap(to_local, to_global)
-
-
-class AugmentedView:
-    """Read-only graph view: a base graph plus a few appended vertices.
-
-    Shares the base adjacency instead of copying it; each appended vertex
-    stores only its incident edges into the view. Exposes the same ``n``,
-    ``m``, ``neighbor_mask`` surface as Graph, so the connectivity oracles
-    run on either interchangeably.
-    """
-
-    __slots__ = ("base", "extras", "remap", "n", "m", "_patch", "_extra_masks")
-
-    def __init__(self, base: Graph, base_remap: IdRemap, full: Graph, extras: Iterable[int]):
-        extras = tuple(sorted(set(extras)))
-        for e in extras:
-            if e in base_remap.to_local:
-                raise ContractViolation(f"vertex {e} is already part of the base graph")
-        to_local = dict(base_remap.to_local)
-        for i, e in enumerate(extras):
-            to_local[e] = base.n + i
-        patch: dict[int, int] = {}
-        extra_masks = []
-        for i, e in enumerate(extras):
-            mask = 0
-            for w in full.adj[e]:
-                lw = to_local.get(w)
-                if lw is None:
-                    continue
-                mask |= 1 << lw
-                if lw < base.n:
-                    patch[lw] = patch.get(lw, 0) | (1 << (base.n + i))
-            extra_masks.append(mask)
-        incident = sum(mask.bit_count() for mask in extra_masks)
-        between = sum(
-            1
-            for i in range(len(extras))
-            for j in range(i + 1, len(extras))
-            if full.has_edge(extras[i], extras[j])
-        )
-        self.base = base
-        self.extras = extras
-        self.remap = IdRemap(to_local, base_remap.to_global + extras)
-        self.n = base.n + len(extras)
-        self.m = base.m + incident - between  # extra-extra edges were counted twice
-        self._patch = patch
-        self._extra_masks = extra_masks
-
-    def neighbor_mask(self, v: int) -> int:
-        if v < self.base.n:
-            return self.base.adj_masks[v] | self._patch.get(v, 0)
-        return self._extra_masks[v - self.base.n]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            mk = self.neighbor_mask(u)
-            for v in iter_bits(mk >> (u + 1)):
-                yield (u, u + 1 + v)
 
 
 def _token_stream(text: str) -> list[tuple[str, int]]:
@@ -385,7 +299,7 @@ def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
     seen: set[int] = set()
     for tok, lineno in _token_stream(text):
         sign, rest = tok[0], tok[1:]
-        if sign not in "+-" or not rest.isdigit():
+        if sign not in "+-" or not (rest.isascii() and rest.isdigit()):
             raise ParseError(f"expected '+v' or '-v', got {tok!r}", lineno)
         v = int(rest)
         if not 0 <= v < n:

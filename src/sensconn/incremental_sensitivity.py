@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 from .bits import has_bit, iter_bits, word_count
-from .errors import ContractViolation, QueryEndpointError
-from .graph_core import ComponentLabeling, Graph, StatePartition, connected_components
+from .errors import QueryEndpointError
+from .graph_core import ComponentLabeling, Graph, StatePartition, UpdateBatch, connected_components
 from .union_find import UnionFind
 
 
@@ -159,18 +159,14 @@ def incremental_update(idx: IncrementalIndex, activate) -> SuperGraph:
     The index is untouched; any number of sessions can coexist and dropping
     the result rolls the session back.
     """
-    p = idx.partition
-    nodes = sorted(set(activate))
-    for v in nodes:
-        if not 0 <= v < p.n or p.is_on(v):
-            raise ContractViolation(f"cannot activate {v}: not an inactive vertex")
+    batch = UpdateBatch.for_partition(idx.partition, (), activate)
     off_adj = idx.off_adj
-    off_index = p.off_index
+    off_index = idx.partition.off_index
 
     def adjacent(u, v):
         return has_bit(off_adj[off_index[u]].off_mask, off_index[v])
 
-    return build_supergraph(nodes, adjacent)
+    return build_supergraph(batch.activate, adjacent)
 
 
 def incremental_query_probed(idx: IncrementalIndex, sg: SuperGraph, u: int, v: int) -> tuple[bool, int]:

@@ -76,6 +76,9 @@ def iter_batches(p: StatePartition, d_max: int):
 
 
 def _instance_text(g, p, down, up) -> str:
+    """Counterexample text for one instance. The check helpers get it as
+    ``ctx``, a callable they call only on a mismatch, because dumping the
+    graph costs more than checking most instances."""
     return f"graph file:\n{dump_graph(g, p)}deactivate={sorted(down)} activate={sorted(up)}"
 
 
@@ -86,9 +89,9 @@ def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
     expected_pairs = k * (k - 1) // 2
     suites["counters"].checked += 2
     if a.delete_calls != expected_deletes:
-        suites["counters"].fail(f"{ctx}: delete_calls={a.delete_calls}, expected {expected_deletes}")
+        suites["counters"].fail(f"{ctx()}: delete_calls={a.delete_calls}, expected {expected_deletes}")
     if a.pair_queries != expected_pairs:
-        suites["counters"].fail(f"{ctx}: pair_queries={a.pair_queries}, expected {expected_pairs}")
+        suites["counters"].fail(f"{ctx()}: pair_queries={a.pair_queries}, expected {expected_pairs}")
     active_after = (p.on_mask & ~mask_of(down)) | mask_of(up)
     ref = BruteForceReference(g, active_after)
     call_limit = 1 + 2 * k
@@ -102,12 +105,12 @@ def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
             expected = has_bit(reach, v)
             if got != expected:
                 suites["fully_dynamic"].fail(
-                    f"{ctx}: query ({u},{v}) expected {expected}, got {got}"
+                    f"{ctx()}: query ({u},{v}) expected {expected}, got {got}"
                 )
             suites["counters"].checked += 1
             if calls > call_limit:
                 suites["counters"].fail(
-                    f"{ctx}: query ({u},{v}) used {calls} oracle calls, limit {call_limit}"
+                    f"{ctx()}: query ({u},{v}) used {calls} oracle calls, limit {call_limit}"
                 )
     fd_rollback(s, a)
 
@@ -118,7 +121,7 @@ def _check_incremental(g, p, idx, up, suites, ctx) -> None:
     suites["counters"].checked += 1
     if sg.build_probes != k * (k - 1) // 2:
         suites["counters"].fail(
-            f"{ctx}: update probes={sg.build_probes}, expected {k * (k - 1) // 2}"
+            f"{ctx()}: update probes={sg.build_probes}, expected {k * (k - 1) // 2}"
         )
     active_after = p.on_mask | mask_of(up)
     ref = BruteForceReference(g, active_after)
@@ -133,12 +136,12 @@ def _check_incremental(g, p, idx, up, suites, ctx) -> None:
             expected = has_bit(reach, v)
             if got != expected:
                 suites["incremental"].fail(
-                    f"{ctx}: query ({u},{v}) expected {expected}, got {got}"
+                    f"{ctx()}: query ({u},{v}) expected {expected}, got {got}"
                 )
             suites["counters"].checked += 1
             if probes > probe_limit:
                 suites["counters"].fail(
-                    f"{ctx}: query ({u},{v}) used {probes} probes, limit {probe_limit}"
+                    f"{ctx()}: query ({u},{v}) used {probes} probes, limit {probe_limit}"
                 )
 
 
@@ -161,7 +164,7 @@ def _check_lemma(g, p, down, up, suites, ctx) -> None:
             suites["lemma_on_paths"].checked += 1
             if got != expected:
                 suites["lemma_on_paths"].fail(
-                    f"{ctx}: components {cu},{cv} expected {expected}, got {got}"
+                    f"{ctx()}: components {cu},{cv} expected {expected}, got {got}"
                 )
 
 
@@ -180,7 +183,7 @@ def exhaustive_suites(
             s = build_fully_dynamic(g, p, oracle)
             idx = build_incremental(g, p)
             for down, up in iter_batches(p, batch_max):
-                ctx = _instance_text(g, p, down, up)
+                ctx = lambda: _instance_text(g, p, down, up)
                 _check_fully_dynamic(g, p, s, down, up, suites, ctx)
                 _check_lemma(g, p, down, up, suites, ctx)
                 if not down:
@@ -188,7 +191,7 @@ def exhaustive_suites(
             if all_activation_sizes:
                 for size in range(batch_max + 1, p.n_off + 1):
                     for up in combinations(p.off_vertices, size):
-                        ctx = _instance_text(g, p, [], up)
+                        ctx = lambda: _instance_text(g, p, [], up)
                         _check_incremental(g, p, idx, up, suites, ctx)
                         _check_lemma(g, p, [], up, suites, ctx)
     return suites
@@ -214,7 +217,7 @@ def random_suites(cfg: VerifyConfig) -> dict[str, SuiteResult]:
         g, p, down, up = _random_instance(rng, cfg)
         s = build_fully_dynamic(g, p, cfg.oracle)
         idx = build_incremental(g, p)
-        ctx = f"trial {trial}: " + _instance_text(g, p, down, up)
+        ctx = lambda: f"trial {trial}: " + _instance_text(g, p, down, up)
         _check_fully_dynamic(g, p, s, down, up, suites, ctx)
         _check_lemma(g, p, down, up, suites, ctx)
         _check_incremental(g, p, idx, up, suites, ctx)
@@ -224,16 +227,18 @@ def random_suites(cfg: VerifyConfig) -> dict[str, SuiteResult]:
 def oracle_conformance_suite(
     factory: str, trials: int = 500, seed: int = 2024, n_max: int = 24, batch_max: int = 6
 ) -> SuiteResult:
-    """Any registered oracle must match the reference before a deletion
-    batch, after it, and again after reset."""
+    """Any registered oracle, built over a random active vertex mask, must
+    match the reference before a deletion batch, after it, and again after
+    reset."""
     suite = SuiteResult(f"conformance[{factory}]")
     rng = random.Random(seed)
     for trial in range(trials):
         n = rng.randint(2, n_max)
         g = gnp_graph(n, rng.choice((0.1, 0.3, 0.6)), rng)
-        o = make_oracle(factory, g)
-        down = rng.sample(range(n), rng.randint(0, min(batch_max, n)))
-        full = (1 << n) - 1
+        part = StatePartition.from_off(n, [v for v in range(n) if rng.random() < 0.25])
+        o = make_oracle(factory, g, part.on_mask)
+        alive = list(iter_bits(part.on_mask))
+        down = rng.sample(alive, rng.randint(0, min(batch_max, len(alive))))
 
         def compare(active_mask, phase):
             ref = BruteForceReference(g, active_mask)
@@ -247,15 +252,14 @@ def oracle_conformance_suite(
                     if got != has_bit(reach, v):
                         suite.fail(
                             f"trial {trial} ({phase}): query ({u},{v}) disagrees with "
-                            f"reference\n{dump_graph(g, StatePartition.from_off(g.n, ()))}"
-                            f"deleted={sorted(o.deleted)}"
+                            f"reference\n{dump_graph(g, part)}deleted={sorted(o.deleted)}"
                         )
 
-        compare(full, "fresh")
+        compare(part.on_mask, "fresh")
         o.delete_batch(down)
-        compare(full & ~mask_of(down), "after delete")
+        compare(part.on_mask & ~mask_of(down), "after delete")
         o.reset()
-        compare(full, "after reset")
+        compare(part.on_mask, "after reset")
     return suite
 
 

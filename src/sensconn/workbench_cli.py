@@ -202,11 +202,14 @@ def cmd_bench(args) -> int:
             call_max = 0
             for rep in range(args.repeats):
                 batch = rng.sample(p.off_vertices, size)
+                alive = list(iter_bits(p.on_mask | mask_of(batch)))
+                if args.queries and not alive:
+                    print(f"error: no vertex is active after a batch of size {size}, nothing to query",
+                          file=sys.stderr)
+                    return 1
                 session = fd_update(s, (), batch)
                 delete_calls.append(session.delete_calls)
                 pair_queries.append(session.pair_queries)
-                active_after = p.on_mask | mask_of(batch)
-                alive = list(iter_bits(active_after))
                 picks = [(rng.choice(alive), rng.choice(alive)) for _ in range(args.queries)]
                 answers = []
                 calls = []

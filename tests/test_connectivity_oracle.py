@@ -17,7 +17,7 @@ from sensconn.connectivity_oracle import (
 )
 from sensconn.errors import ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import cycle_graph, gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, connected_components, induced_augmented, AugmentedView
+from sensconn.graph_core import Graph, StatePartition, connected_components
 
 from reference import brute_connected
 from strategies import graphs
@@ -200,13 +200,29 @@ class TestConformance:
                     assert o.query(u, v) == nx.has_path(h, u, v)
 
     @pytest.mark.parametrize("factory", FACTORIES)
-    def test_runs_on_augmented_views(self, factory):
+    def test_runs_on_active_masks(self, factory):
+        # cycle 0-1-2-3-4-5-0 with 4 inactive: the path 5-0-1-2-3
         g = cycle_graph(6)
-        p = StatePartition.from_off(6, [1, 4])
-        base, remap = induced_augmented(g, p)
-        view = AugmentedView(base, remap, g, (1, 4))
-        o = make_oracle(factory, view)
-        assert o.query(view.remap.to_local[0], view.remap.to_local[1]) is True
+        o = make_oracle(factory, g, mask_of([0, 1, 2, 3, 5]))
+        assert o.query(5, 3) is True
+        o.delete_batch({1})
+        assert o.query(5, 3) is False
+        assert o.query(5, 0) is True
+        o.reset()
+        assert o.query(5, 3) is True
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_vertices_outside_the_mask_rejected(self, factory):
+        o = make_oracle(factory, cycle_graph(6), mask_of([0, 1, 2, 3, 5]))
+        with pytest.raises(QueryEndpointError):
+            o.query(0, 4)
+        with pytest.raises(ContractViolation):
+            o.delete_batch({4})
+        assert o.phase == "fresh"
+
+    def test_mask_beyond_the_graph_rejected(self):
+        with pytest.raises(ContractViolation):
+            make_oracle("rebuild", path_graph(3), mask_of([0, 3]))
 
 
 class TestBruteForceReference:

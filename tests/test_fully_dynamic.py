@@ -114,6 +114,32 @@ class TestUpdate:
         with pytest.raises(PhaseError):
             fd_update(s, [0], [])
 
+    def test_failed_update_leaves_the_structure_usable(self, p5):
+        class InjectedFault(RuntimeError):
+            pass
+
+        @register_oracle
+        class _FailsOnSecondPush(RebuildOracle):
+            name = "rebuild-fails-on-second-push-test"
+            pushes = 0
+
+            def _apply_delete(self, vertices):
+                type(self).pushes += 1
+                if type(self).pushes == 2:
+                    raise InjectedFault("second push fails")
+                super()._apply_delete(vertices)
+
+        g, p = p5
+        s = build_fully_dynamic(g, p, "rebuild-fails-on-second-push-test")
+        with pytest.raises(InjectedFault):
+            fd_update(s, [], [2])  # base oracle pushed, then single[2] fails
+        assert s.session is None
+        assert all(o.phase == "fresh" for o in [s.base, *s.single.values()])
+        a = fd_update(s, [], [2])
+        assert fd_query(s, a, 0, 4) is True
+        fd_rollback(s, a)
+        assert s.session is None
+
     def test_illegal_batches_rejected(self, mixed):
         g, p = mixed
         s = build_fully_dynamic(g, p)
@@ -329,4 +355,4 @@ class TestDoubling:
         g, p = p5
         fam = build_doubling(g, p, 5, oracle="rebuild-sized-test")
         assert len({id(s) for s in fam.structures.values()}) == 3
-        assert [fam.structures[c].on_handle.oracle.capacity for c in fam.capacities] == [2, 4, 8]
+        assert [fam.structures[c].base.capacity for c in fam.capacities] == [2, 4, 8]

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
 from sensconn.graph_core import (
-    AugmentedView,
     Graph,
-    StatePartition,
     UpdateBatch,
     connected_components,
     dump_graph,
-    induced_augmented,
     load_graph,
     parse_query_text,
     parse_update_text,
@@ -148,74 +145,6 @@ class TestReachableMask:
         assert set(iter_bits(reachable_mask(g, mask_of(active), 0))) == {0, 1}
 
 
-class TestInducedAugmented:
-    def test_adding_the_only_off_vertex_restores_the_graph(self, p5):
-        g, p = p5
-        sub, remap = induced_augmented(g, p, {2})
-        assert sub == g
-        assert remap.to_global == (0, 1, 2, 3, 4)
-
-    def test_without_extras_drops_off_vertices(self, p5):
-        g, p = p5
-        sub, remap = induced_augmented(g, p)
-        assert remap.to_global == (0, 1, 3, 4)
-        assert list(sub.edges()) == [(0, 1), (2, 3)]
-
-    def test_cycle_with_one_vertex_restored(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        p = StatePartition.from_off(4, [1, 3])
-        sub, remap = induced_augmented(g, p, {1})
-        kept = set(remap.to_global)
-        expected = {(u, v) for u, v in g.edges() if u in kept and v in kept}
-        got = {(remap.to_global[u], remap.to_global[v]) for u, v in sub.edges()}
-        assert got == expected == {(0, 1), (1, 2)}
-
-    def test_active_extra_rejected(self, p5):
-        g, p = p5
-        with pytest.raises(ContractViolation):
-            induced_augmented(g, p, {0})
-
-    @given(graphs_with_partition(max_n=12), st.data())
-    def test_edge_set_is_the_membership_filter(self, gp, data):
-        g, p = gp
-        extras = data.draw(st.lists(st.sampled_from(p.off_vertices), unique=True)) if p.n_off else []
-        sub, remap = induced_augmented(g, p, extras)
-        kept = set(remap.to_global)
-        expected = {(u, v) for u, v in g.edges() if u in kept and v in kept}
-        got = {(remap.to_global[u], remap.to_global[v]) for u, v in sub.edges()}
-        assert got == expected
-
-
-class TestAugmentedView:
-    @given(graphs_with_partition(max_n=12), st.data())
-    def test_matches_materialized_subgraph(self, gp, data):
-        g, p = gp
-        extras = tuple(
-            data.draw(st.lists(st.sampled_from(p.off_vertices), unique=True, max_size=2))
-        ) if p.n_off else ()
-        base, base_remap = induced_augmented(g, p)
-        view = AugmentedView(base, base_remap, g, extras)
-        sub, remap = induced_augmented(g, p, extras)
-        assert view.n == sub.n
-        assert view.m == sub.m
-        # the view appends extras after the base vertices, so normalize the
-        # undirected pairs before comparing
-        view_edges = {
-            frozenset((view.remap.to_global[u], view.remap.to_global[v]))
-            for u, v in view.edges()
-        }
-        sub_edges = {
-            frozenset((remap.to_global[u], remap.to_global[v])) for u, v in sub.edges()
-        }
-        assert view_edges == sub_edges
-
-    def test_rejects_base_vertices(self, p5):
-        g, p = p5
-        base, base_remap = induced_augmented(g, p)
-        with pytest.raises(ContractViolation):
-            AugmentedView(base, base_remap, g, (0,))
-
-
 class TestUpdateAndQueryFiles:
     def test_update_tokens(self):
         down, up = parse_update_text("+2\n-0\n# note\n+4\n", n=5)
@@ -224,6 +153,11 @@ class TestUpdateAndQueryFiles:
     def test_update_bad_token(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_update_text("2\n", n=5)
+
+    @pytest.mark.parametrize("token", ["+\u00b2", "-\u0663"])
+    def test_update_non_ascii_digit_rejected(self, token):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_update_text(token + "\n", n=5)
 
     def test_update_out_of_range(self):
         with pytest.raises(ParseError, match="outside"):

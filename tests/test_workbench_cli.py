@@ -97,6 +97,19 @@ class TestRun:
         assert code == 1
         assert "line 1" in err
 
+    def test_non_ascii_digit_in_update_is_one_error_line(self, capsys, tmp_path):
+        update = tmp_path / "sup.update"
+        update.write_text("+\u00b2\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "run",
+            "--graph", str(FIXTURES / "p5.graph"),
+            "--update", str(update),
+            "--query", str(FIXTURES / "p5.query"),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 1:")
+
     def test_report_is_deterministic_modulo_wall_times(self, capsys, tmp_path):
         reports = []
         for name in ("a.txt", "b.txt"):
@@ -178,3 +191,12 @@ class TestBenchCommand:
         assert code == 0
         assert "skipped" in err
         assert " 32 " not in out
+
+    def test_nothing_active_is_one_error_line(self, capsys, tmp_path):
+        graph = tmp_path / "all_off.graph"
+        graph.write_text("1 0\nOFF 1\n0\n")
+        code, out, err = run_cli(capsys, "bench", "--graph", str(graph), "--batch-sizes", "0")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
