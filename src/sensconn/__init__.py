@@ -13,8 +13,6 @@ from .connectivity_oracle import (
     DecrementalOracle,
     OracleCosts,
     RebuildOracle,
-    connected_by_set,
-    connected_via_component,
     make_oracle,
     oracle_names,
     register_oracle,
@@ -39,11 +37,9 @@ from .fully_dynamic_sensitivity import (
     fd_update,
 )
 from .graph_core import (
-    ComponentLabeling,
     Graph,
     StatePartition,
     UpdateBatch,
-    connected_components,
     dump_graph,
     load_graph,
     parse_query_text,
@@ -66,7 +62,6 @@ __all__ = [
     "BruteForceOracle",
     "BruteForceReference",
     "CapacityError",
-    "ComponentLabeling",
     "ContractViolation",
     "DecrementalOracle",
     "DoublingFamily",
@@ -85,9 +80,6 @@ __all__ = [
     "build_doubling",
     "build_fully_dynamic",
     "build_incremental",
-    "connected_by_set",
-    "connected_components",
-    "connected_via_component",
     "dump_graph",
     "fd_query",
     "fd_query_probed",

@@ -1,5 +1,5 @@
-"""Decremental connectivity oracles plus the activation-path predicates that
-cross-check every engine in this package.
+"""Decremental connectivity oracles and the brute-force reference every engine
+in this package is checked against.
 
 An oracle answers connectivity over a fixed graph restricted to a set of
 active vertices, after at most one batch of vertex deletions per cycle.
@@ -12,9 +12,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from .bits import all_bits, has_bit, iter_bits, mask_of, word_count
+from .bits import all_bits, has_bit, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
-from .graph_core import ComponentLabeling, component_labels, reachable_mask
+from .graph_core import component_labels, reachable_mask
 
 FRESH = "fresh"
 UPDATED = "updated"
@@ -207,53 +207,3 @@ class BruteForceReference:
         if not self.is_active(v):
             raise QueryEndpointError(f"vertex {v} is not active")
         return has_bit(self.reachable(u), v)
-
-
-def connected_via_component(g, labeling: ComponentLabeling, u: int, v: int) -> bool:
-    """True when the two inactive vertices share an adjacent component of the
-    labeled graph, or are joined by a direct edge."""
-    if u == v:
-        raise ContractViolation("endpoints must differ")
-    for x in (u, v):
-        if labeling.labels[x] != -1:
-            raise ContractViolation(f"vertex {x} is active in the labeling")
-    if g.has_edge(u, v):
-        return True
-    comps_u = {labeling.labels[w] for w in iter_bits(g.neighbor_mask(u) & labeling.active_mask)}
-    if not comps_u:
-        return False
-    for w in iter_bits(g.neighbor_mask(v) & labeling.active_mask):
-        if labeling.labels[w] in comps_u:
-            return True
-    return False
-
-
-def connected_by_set(g, labeling: ComponentLabeling, activated, cu: int, cv: int) -> bool:
-    """True when components cu and cv are linked by a chain of vertices from
-    ``activated``, consecutive ones connected via a component or direct edge.
-
-    Reachability runs over the implicit graph on ``activated`` whose edges
-    are probed lazily with connected_via_component.
-    """
-    for c in (cu, cv):
-        if not 0 <= c < labeling.k:
-            raise ContractViolation(f"unknown component id {c}")
-    if cu == cv:
-        raise ContractViolation("component ids must differ")
-    nodes = sorted(set(activated))
-    for x in nodes:
-        if labeling.labels[x] != -1:
-            raise ContractViolation(f"vertex {x} is active in the labeling")
-    source_mask = labeling.member_masks[cu]
-    target_mask = labeling.member_masks[cv]
-    pending = [x for x in nodes if g.neighbor_mask(x) & source_mask]
-    seen = set(pending)
-    while pending:
-        x = pending.pop()
-        if g.neighbor_mask(x) & target_mask:
-            return True
-        for y in nodes:
-            if y not in seen and connected_via_component(g, labeling, x, y):
-                seen.add(y)
-                pending.append(y)
-    return False

@@ -89,13 +89,18 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
     the bridge graph over the activated vertices from pair-oracle queries.
 
     Oracle-call accounting: delete calls = 1 + |I| + C(|I|, 2) and pair
-    queries = C(|I|, 2) where I is the activation set. If any step raises,
-    the batch's oracles are reset before the exception propagates, so the
-    structure stays ready for the next update.
+    queries = C(|I|, 2) where I is the activation set. A batch larger than
+    the capacity the oracles were built for raises CapacityError before any
+    oracle is touched. If any later step raises, the batch's oracles are
+    reset before the exception propagates, so the structure stays ready for
+    the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
     batch = UpdateBatch.for_partition(s.partition, deactivate, activate)
+    capacity = s.base.capacity
+    if capacity is not None and batch.d > capacity:
+        raise CapacityError(f"batch of size {batch.d} exceeds the oracles' capacity {capacity}")
     up = tuple(sorted(batch.activate))
     oracles = [s.base]
     oracles += (s.single[u] for u in up)

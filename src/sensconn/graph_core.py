@@ -10,6 +10,8 @@ Graph file format (UTF-8 text, lines starting with '#' are ignored anywhere):
 
 Update file: one token per line, ``+v`` activates v, ``-v`` deactivates v.
 Query file: one ``u v`` pair per line.
+
+Every number in these formats is written in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class Graph:
         masks = tuple(mask_of(s) for s in nbr)
         m = sum(len(s) for s in nbr) // 2
         return cls(n=n, m=m, adj=adj, adj_masks=masks)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def neighbor_mask(self, v: int) -> int:
         return self.adj_masks[v]
@@ -100,33 +99,8 @@ class StatePartition:
             off_index=index,
         )
 
-    @property
-    def off_mask(self) -> int:
-        return all_bits(self.n) ^ self.on_mask
-
     def is_on(self, v: int) -> bool:
         return has_bit(self.on_mask, v)
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected-component labels for one active vertex set.
-
-    Components are numbered by their smallest contained vertex id, so output
-    is deterministic. ``labels[v]`` is -1 for vertices outside the active set.
-    """
-
-    labels: tuple[int, ...]
-    k: int
-    members: tuple[tuple[int, ...], ...]
-    member_masks: tuple[int, ...] = field(compare=False, repr=False)
-    active_mask: int = field(compare=False, default=0)
-
-    def label_of(self, v: int) -> int:
-        return self.labels[v]
-
-    def same_component(self, u: int, v: int) -> bool:
-        return self.labels[u] >= 0 and self.labels[u] == self.labels[v]
 
 
 @dataclass(frozen=True)
@@ -156,22 +130,32 @@ class UpdateBatch:
         return cls(down, up)
 
 
+def _flood(g, active_mask: int, seed: int) -> int:
+    """Vertices of ``active_mask`` reachable from the vertex mask ``seed``."""
+    reach = frontier = seed
+    while frontier:
+        grow = 0
+        for v in iter_bits(frontier):
+            grow |= g.neighbor_mask(v)
+        frontier = grow & active_mask & ~reach
+        reach |= frontier
+    return reach
+
+
 def component_labels(g, active_mask: int) -> tuple[list[int], list[int]]:
-    """Flood-fill labels over the active vertices of any object exposing
-    ``n`` and ``neighbor_mask``. Returns (labels, per-component masks);
-    labels are -1 outside the active set."""
+    """Component labeling of the subgraph induced by ``active_mask``, over
+    any object exposing ``n`` and ``neighbor_mask``.
+
+    Returns (labels, per-component vertex masks). Components are numbered by
+    their smallest vertex, so the output is deterministic; labels are -1
+    outside the active set.
+    """
     labels = [-1] * g.n
     masks: list[int] = []
     remaining = active_mask
     while remaining:
-        comp = remaining & -remaining  # lowest unlabeled vertex seeds the next component
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= g.neighbor_mask(v)
-            frontier = grow & active_mask & ~comp
-            comp |= frontier
+        # the lowest unlabeled vertex seeds the next component
+        comp = _flood(g, active_mask, remaining & -remaining)
         cid = len(masks)
         for v in iter_bits(comp):
             labels[v] = cid
@@ -180,32 +164,20 @@ def component_labels(g, active_mask: int) -> tuple[list[int], list[int]]:
     return labels, masks
 
 
-def connected_components(g, active_mask: int) -> ComponentLabeling:
-    """Component labeling of the subgraph induced by ``active_mask``."""
-    labels, masks = component_labels(g, active_mask)
-    members = tuple(tuple(iter_bits(mk)) for mk in masks)
-    return ComponentLabeling(
-        labels=tuple(labels),
-        k=len(masks),
-        members=members,
-        member_masks=tuple(masks),
-        active_mask=active_mask,
-    )
-
-
 def reachable_mask(g, active_mask: int, source: int) -> int:
     """Vertices reachable from ``source`` using only active vertices."""
     if not has_bit(active_mask, source):
         raise QueryEndpointError(f"vertex {source} is not active")
-    reach = 1 << source
-    frontier = reach
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= g.neighbor_mask(v)
-        frontier = grow & active_mask & ~reach
-        reach |= frontier
-    return reach
+    return _flood(g, active_mask, 1 << source)
+
+
+def parse_int(tok: str, what: str, lineno: int | None = None) -> int:
+    """The value of a token made of ASCII digits only, the one integer rule
+    of every input format. Signs, underscores and other scripts' digits,
+    which ``int()`` would accept, raise ParseError naming the line."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"expected {what}, got {tok!r}", lineno)
+    return int(tok)
 
 
 def _token_stream(text: str) -> list[tuple[str, int]]:
@@ -239,17 +211,10 @@ def load_graph(text: str) -> tuple[Graph, StatePartition]:
 
     def take_int(what: str) -> tuple[int, int]:
         tok, lineno = take(what)
-        try:
-            return int(tok), lineno
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok!r}", lineno) from None
+        return parse_int(tok, what, lineno), lineno
 
-    n, lineno = take_int("vertex count")
-    if n < 0:
-        raise ParseError(f"vertex count must be non-negative, got {n}", lineno)
-    m, lineno = take_int("edge count")
-    if m < 0:
-        raise ParseError(f"edge count must be non-negative, got {m}", lineno)
+    n, _ = take_int("vertex count")
+    m, _ = take_int("edge count")
 
     edges = []
     for _ in range(m):
@@ -263,9 +228,7 @@ def load_graph(text: str) -> tuple[Graph, StatePartition]:
     kw, lineno = take("'OFF' header")
     if kw != "OFF":
         raise ParseError(f"expected 'OFF', got {kw!r}", lineno)
-    k, lineno = take_int("inactive vertex count")
-    if k < 0:
-        raise ParseError(f"inactive vertex count must be non-negative, got {k}", lineno)
+    k, _ = take_int("inactive vertex count")
     off = []
     seen = set()
     for _ in range(k):
@@ -298,10 +261,10 @@ def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
     activate: list[int] = []
     seen: set[int] = set()
     for tok, lineno in _token_stream(text):
-        sign, rest = tok[0], tok[1:]
-        if sign not in "+-" or not (rest.isascii() and rest.isdigit()):
+        sign = tok[0]
+        if sign not in "+-":
             raise ParseError(f"expected '+v' or '-v', got {tok!r}", lineno)
-        v = int(rest)
+        v = parse_int(tok[1:], "vertex id after the sign", lineno)
         if not 0 <= v < n:
             raise ParseError(f"vertex id {v} outside [0, {n})", lineno)
         if v in seen:
@@ -312,18 +275,11 @@ def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
 
 
 def parse_query_text(text: str) -> list[tuple[int, int]]:
-    """Parse a query file into (u, v) pairs. Range checks happen per query
-    at run time so every engine reports illegal endpoints the same way."""
+    """Parse a query file into (u, v) pairs. Whether an id names a vertex is
+    checked per query at run time so every engine reports illegal endpoints
+    the same way."""
     toks = _token_stream(text)
     if len(toks) % 2 != 0:
         raise ParseError("dangling query endpoint", toks[-1][1])
-    pairs = []
-    for i in range(0, len(toks), 2):
-        out = []
-        for tok, lineno in (toks[i], toks[i + 1]):
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ParseError(f"expected vertex id, got {tok!r}", lineno) from None
-        pairs.append((out[0], out[1]))
-    return pairs
+    ids = [parse_int(tok, "vertex id", lineno) for tok, lineno in toks]
+    return list(zip(ids[::2], ids[1::2]))

@@ -1,10 +1,11 @@
 """Activation-only engine.
 
-Preprocessing packs two bit-array families: per component, which inactive
-vertices touch it; per inactive vertex, which components it touches and which
-other inactive vertices it can reach through a single shared component or a
-direct edge. An update of batch size d then builds a bridge graph over the
-batch with one bit probe per pair, and a query needs at most 2d probes.
+Preprocessing labels the base active components and packs two bit-array
+families: per component, which inactive vertices touch it; per inactive
+vertex, which other inactive vertices it can reach through a single shared
+component or a direct edge. An update of batch size d then builds a bridge
+graph over the batch with one bit probe per pair, and a query needs at most
+2d probes.
 
 The index is never mutated by updates, so rollback is simply dropping the
 SuperGraph a session produced.
@@ -13,17 +14,12 @@ SuperGraph a session produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .bits import has_bit, iter_bits, word_count
 from .errors import QueryEndpointError
-from .graph_core import ComponentLabeling, Graph, StatePartition, UpdateBatch, connected_components
+from .graph_core import Graph, StatePartition, UpdateBatch, component_labels
 from .union_find import UnionFind
-
-
-class OffAdjacency(NamedTuple):
-    comp_mask: int  # components this inactive vertex has an edge into
-    off_mask: int  # inactive vertices reachable via one shared component or a direct edge
 
 
 @dataclass(frozen=True)
@@ -32,9 +28,11 @@ class IncrementalIndex:
 
     graph: Graph
     partition: StatePartition
-    labeling: ComponentLabeling
+    labels: tuple[int, ...]  # base active component per vertex, -1 if inactive
     comp_adj: tuple[int, ...]  # per component: mask over dense off indices
-    off_adj: tuple[OffAdjacency, ...]  # per dense off index
+    # per dense off index: mask over dense off indices reachable through one
+    # shared component or a direct edge, own bit cleared
+    off_reach: tuple[int, ...]
     build_edge_probes: int
     build_or_words: int
 
@@ -61,15 +59,15 @@ def build_incremental(g: Graph, p: StatePartition) -> IncrementalIndex:
     vertices, with each vertex's own bit cleared. ``build_or_words`` counts
     the word-level OR work exactly.
     """
-    labeling = connected_components(g, p.on_mask)
+    labels, masks = component_labels(g, p.on_mask)
     n_off = p.n_off
-    comp_adj = [0] * labeling.k
+    comp_adj = [0] * len(masks)
     touch = [0] * n_off
     probes = 0
     for j, u in enumerate(p.off_vertices):
         for w in g.adj[u]:
             probes += 1
-            c = labeling.labels[w]
+            c = labels[w]
             if c >= 0:
                 comp_adj[c] |= 1 << j
                 touch[j] |= 1 << c
@@ -77,20 +75,19 @@ def build_incremental(g: Graph, p: StatePartition) -> IncrementalIndex:
     probes += direct_probes
     words = word_count(n_off)
     or_words = 0
-    off_adj = []
+    off_reach = []
     for j in range(n_off):
         reach = direct[j]
         for c in iter_bits(touch[j]):
             reach |= comp_adj[c]
             or_words += words
-        reach &= ~(1 << j)
-        off_adj.append(OffAdjacency(touch[j], reach))
+        off_reach.append(reach & ~(1 << j))
     return IncrementalIndex(
         graph=g,
         partition=p,
-        labeling=labeling,
+        labels=tuple(labels),
         comp_adj=tuple(comp_adj),
-        off_adj=tuple(off_adj),
+        off_reach=tuple(off_reach),
         build_edge_probes=probes,
         build_or_words=or_words,
     )
@@ -160,11 +157,11 @@ def incremental_update(idx: IncrementalIndex, activate) -> SuperGraph:
     the result rolls the session back.
     """
     batch = UpdateBatch.for_partition(idx.partition, (), activate)
-    off_adj = idx.off_adj
+    off_reach = idx.off_reach
     off_index = idx.partition.off_index
 
     def adjacent(u, v):
-        return has_bit(off_adj[off_index[u]].off_mask, off_index[v])
+        return has_bit(off_reach[off_index[u]], off_index[v])
 
     return build_supergraph(batch.activate, adjacent)
 
@@ -179,7 +176,7 @@ def incremental_query_probed(idx: IncrementalIndex, sg: SuperGraph, u: int, v: i
             raise QueryEndpointError(f"vertex {x} is inactive after the update")
     if u == v:
         return True, 0
-    labels = idx.labeling.labels
+    labels = idx.labels
     u_new = not p.is_on(u)
     v_new = not p.is_on(v)
     if u_new and v_new:

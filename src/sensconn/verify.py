@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bits import has_bit, iter_bits, mask_of
-from .connectivity_oracle import BruteForceReference, connected_by_set, make_oracle
+from .connectivity_oracle import BruteForceReference, make_oracle
+from .errors import ContractViolation
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query_probed, fd_rollback, fd_update
 from .generators import gnp_graph
-from .graph_core import Graph, StatePartition, connected_components, dump_graph
+from .graph_core import Graph, StatePartition, component_labels, dump_graph
 from .incremental_sensitivity import build_incremental, incremental_query_probed, incremental_update
 
 SUITE_NAMES = ("fully_dynamic", "incremental", "lemma_on_paths", "counters")
@@ -24,7 +25,6 @@ SUITE_NAMES = ("fully_dynamic", "incremental", "lemma_on_paths", "counters")
 
 @dataclass
 class VerifyConfig:
-    mode: str = "random"  # "exhaustive" or "random"
     n_max: int = 40
     trials: int = 1000
     edge_probs: tuple[float, ...] = (0.1, 0.3, 0.6)
@@ -145,21 +145,67 @@ def _check_incremental(g, p, idx, up, suites, ctx) -> None:
                 )
 
 
+def connected_via_component(g, labels, u: int, v: int) -> bool:
+    """True when the two inactive vertices share an adjacent component of the
+    labeled graph, or are joined by a direct edge. ``labels`` is the first
+    half of a ``component_labels`` result: -1 off the labeled vertices."""
+    if u == v:
+        raise ContractViolation("endpoints must differ")
+    for x in (u, v):
+        if labels[x] != -1:
+            raise ContractViolation(f"vertex {x} is active in the labeling")
+    if g.has_edge(u, v):
+        return True
+    comps_u = {labels[w] for w in g.adj[u]} - {-1}
+    return any(labels[w] in comps_u for w in g.adj[v])
+
+
+def connected_by_set(g, labels, masks, activated, cu: int, cv: int) -> bool:
+    """True when components cu and cv of the ``component_labels`` result
+    (labels, masks) are linked by a chain of vertices from ``activated``,
+    consecutive ones connected via a component or direct edge.
+
+    Reachability runs over the implicit graph on ``activated`` whose edges
+    are probed lazily with connected_via_component.
+    """
+    for c in (cu, cv):
+        if not 0 <= c < len(masks):
+            raise ContractViolation(f"unknown component id {c}")
+    if cu == cv:
+        raise ContractViolation("component ids must differ")
+    nodes = sorted(set(activated))
+    for x in nodes:
+        if labels[x] != -1:
+            raise ContractViolation(f"vertex {x} is active in the labeling")
+    source_mask = masks[cu]
+    target_mask = masks[cv]
+    pending = [x for x in nodes if g.neighbor_mask(x) & source_mask]
+    seen = set(pending)
+    while pending:
+        x = pending.pop()
+        if g.neighbor_mask(x) & target_mask:
+            return True
+        for y in nodes:
+            if y not in seen and connected_via_component(g, labels, x, y):
+                seen.add(y)
+                pending.append(y)
+    return False
+
+
 def _check_lemma(g, p, down, up, suites, ctx) -> None:
     """The path characterization: two surviving components are joined after
     activating the batch iff they are linked by a chain through it."""
     survivors = p.on_mask & ~mask_of(down)
-    labeling = connected_components(g, survivors)
-    if labeling.k < 2:
+    labels, masks = component_labels(g, survivors)
+    if len(masks) < 2:
         return
     ref = BruteForceReference(g, survivors | mask_of(up))
     batch = sorted(set(up))
-    for cu in range(labeling.k):
-        u = labeling.members[cu][0]
-        reach = ref.reachable(u)
-        for cv in range(cu + 1, labeling.k):
-            v = labeling.members[cv][0]
-            got = connected_by_set(g, labeling, batch, cu, cv)
+    for cu, mask_u in enumerate(masks):
+        reach = ref.reachable(next(iter_bits(mask_u)))
+        for cv in range(cu + 1, len(masks)):
+            v = next(iter_bits(masks[cv]))
+            got = connected_by_set(g, labels, masks, batch, cu, cv)
             expected = has_bit(reach, v)
             suites["lemma_on_paths"].checked += 1
             if got != expected:
@@ -168,14 +214,12 @@ def _check_lemma(g, p, down, up, suites, ctx) -> None:
                 )
 
 
-def exhaustive_suites(
-    n: int = 5, batch_max: int = 3, oracle: str = "rebuild", all_activation_sizes: bool = True
-) -> dict[str, SuiteResult]:
+def exhaustive_suites(n: int = 5, batch_max: int = 3, oracle: str = "rebuild") -> dict[str, SuiteResult]:
     """Every graph on n labeled vertices, every partition, every batch of at
     most batch_max flips, every active query pair.
 
-    With all_activation_sizes the activation-only engine is additionally run
-    on every activation subset, not just those within batch_max.
+    The activation-only engine, which needs no batch capacity, is
+    additionally run on every larger activation subset.
     """
     suites = _new_suites()
     for g in iter_all_graphs(n):
@@ -188,12 +232,11 @@ def exhaustive_suites(
                 _check_lemma(g, p, down, up, suites, ctx)
                 if not down:
                     _check_incremental(g, p, idx, up, suites, ctx)
-            if all_activation_sizes:
-                for size in range(batch_max + 1, p.n_off + 1):
-                    for up in combinations(p.off_vertices, size):
-                        ctx = lambda: _instance_text(g, p, [], up)
-                        _check_incremental(g, p, idx, up, suites, ctx)
-                        _check_lemma(g, p, [], up, suites, ctx)
+            for size in range(batch_max + 1, p.n_off + 1):
+                for up in combinations(p.off_vertices, size):
+                    ctx = lambda: _instance_text(g, p, [], up)
+                    _check_incremental(g, p, idx, up, suites, ctx)
+                    _check_lemma(g, p, [], up, suites, ctx)
     return suites
 
 

@@ -21,7 +21,7 @@ from .bits import iter_bits, mask_of
 from .connectivity_oracle import BruteForceReference, oracle_names
 from .errors import ContractViolation, ParseError, QueryEndpointError, SensConnError
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query_probed, fd_rollback, fd_update
-from .graph_core import UpdateBatch, load_graph, parse_query_text, parse_update_text
+from .graph_core import UpdateBatch, load_graph, parse_int, parse_query_text, parse_update_text
 from .incremental_sensitivity import build_incremental, incremental_query_probed, incremental_update
 from . import verify as verify_lib
 
@@ -156,7 +156,6 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = verify_lib.VerifyConfig(
-        mode=args.mode,
         n_max=args.n_max,
         trials=args.trials,
         edge_probs=tuple(args.edge_prob) if args.edge_prob else (0.1, 0.3, 0.6),
@@ -164,7 +163,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         oracle=args.oracle,
     )
-    if cfg.mode == "exhaustive":
+    if args.mode == "exhaustive":
         suites = verify_lib.exhaustive_suites(n=cfg.n_max, batch_max=cfg.batch_max, oracle=cfg.oracle)
     else:
         suites = verify_lib.random_suites(cfg)
@@ -179,13 +178,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        g, p = load_graph(_read(args.graph))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sizes = [int(tok) for tok in args.batch_sizes.split(",") if tok]
-    factories = args.oracle or ["rebuild", "bruteforce"]
+    g, p = load_graph(_read(args.graph))
+    sizes = [parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok]
+    factories = args.oracle or oracle_names()
     rows = []
     answers_by_key: dict[tuple, list[bool]] = {}
     for factory in factories:
@@ -240,8 +235,8 @@ def cmd_bench(args) -> int:
                 "oracle": factory,
                 "batch_size": size,
                 "repeats": args.repeats,
-                "update_delete_calls": formula_deletes,
-                "update_pair_queries": formula_pairs,
+                "update_delete_calls": max(delete_calls, default=0),
+                "update_pair_queries": max(pair_queries, default=0),
                 "formula_delete_calls": formula_deletes,
                 "formula_pair_queries": formula_pairs,
                 "query_calls_mean": round(sum(call_means) / len(call_means), 3) if call_means else 0,

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import sensconn.connectivity_oracle as oracle_mod
 from sensconn.graph_core import load_graph
 
 settings.register_profile("pkg", deadline=None)
@@ -14,6 +15,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def oracle_registry(monkeypatch):
+    """Lets a test register throwaway oracle factories: the factory registry
+    is restored when the test ends, so later tests see only the built-ins."""
+    monkeypatch.setattr(oracle_mod, "_REGISTRY", dict(oracle_mod._REGISTRY))
 
 
 @pytest.fixture

@@ -9,15 +9,14 @@ from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     BruteForceReference,
     DecrementalOracle,
-    connected_by_set,
-    connected_via_component,
     make_oracle,
     oracle_names,
     register_oracle,
 )
 from sensconn.errors import ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import cycle_graph, gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, connected_components
+from sensconn.graph_core import Graph, StatePartition, component_labels
+from sensconn.verify import connected_by_set, connected_via_component
 
 from reference import brute_connected
 from strategies import graphs
@@ -249,89 +248,89 @@ class TestConnectedViaComponent:
         # u=2, v=3 inactive around the active edge 0-1
         g = Graph.from_edges(4, [(2, 0), (0, 1), (1, 3)])
         p = StatePartition.from_off(4, [2, 3])
-        lab = connected_components(g, p.on_mask)
-        assert connected_via_component(g, lab, 2, 3) is True
+        labels, _ = component_labels(g, p.on_mask)
+        assert connected_via_component(g, labels, 2, 3) is True
 
     def test_direct_edge_only(self):
         g = Graph.from_edges(2, [(0, 1)])
         p = StatePartition.from_off(2, [0, 1])
-        lab = connected_components(g, p.on_mask)
-        assert connected_via_component(g, lab, 0, 1) is True
+        labels, _ = component_labels(g, p.on_mask)
+        assert connected_via_component(g, labels, 0, 1) is True
 
     def test_distinct_components_no_edge(self):
         g, p = chain_fixture()
-        lab = connected_components(g, p.on_mask)
+        labels, _ = component_labels(g, p.on_mask)
         # 3 touches {0} and {2}; 4 touches {1} and {2}: shared component {2}
-        assert connected_via_component(g, lab, 3, 4) is True
+        assert connected_via_component(g, labels, 3, 4) is True
         # drop the shared component and they fall apart
-        lab2 = connected_components(g, p.on_mask & ~mask_of([2]))
-        assert connected_via_component(g, lab2, 3, 4) is False
+        labels2, _ = component_labels(g, p.on_mask & ~mask_of([2]))
+        assert connected_via_component(g, labels2, 3, 4) is False
 
     def test_active_endpoint_rejected(self):
         g, p = chain_fixture()
-        lab = connected_components(g, p.on_mask)
+        labels, _ = component_labels(g, p.on_mask)
         with pytest.raises(ContractViolation):
-            connected_via_component(g, lab, 0, 3)
+            connected_via_component(g, labels, 0, 3)
 
     def test_equal_endpoints_rejected(self):
         g, p = chain_fixture()
-        lab = connected_components(g, p.on_mask)
+        labels, _ = component_labels(g, p.on_mask)
         with pytest.raises(ContractViolation):
-            connected_via_component(g, lab, 3, 3)
+            connected_via_component(g, labels, 3, 3)
 
 
 class TestConnectedBySet:
     def test_single_bridging_vertex(self, p5):
         g, p = p5
-        lab = connected_components(g, p.on_mask)
-        assert connected_by_set(g, lab, [2], 0, 1) is True
+        labels, masks = component_labels(g, p.on_mask)
+        assert connected_by_set(g, labels, masks, [2], 0, 1) is True
 
     def test_empty_set_bridges_nothing(self, p5):
         g, p = p5
-        lab = connected_components(g, p.on_mask)
-        assert connected_by_set(g, lab, [], 0, 1) is False
+        labels, masks = component_labels(g, p.on_mask)
+        assert connected_by_set(g, labels, masks, [], 0, 1) is False
 
     def test_chain_through_third_component(self):
         g, p = chain_fixture()
         assert brute_connected(g, {0, 1, 2, 3, 4}, 0, 1)
         assert not brute_connected(g, {0, 1, 2, 3}, 0, 1)
-        lab = connected_components(g, p.on_mask)
-        cu, cv = lab.labels[0], lab.labels[1]
-        assert connected_by_set(g, lab, [3, 4], cu, cv) is True
-        assert connected_by_set(g, lab, [3], cu, cv) is False
+        labels, masks = component_labels(g, p.on_mask)
+        cu, cv = labels[0], labels[1]
+        assert connected_by_set(g, labels, masks, [3, 4], cu, cv) is True
+        assert connected_by_set(g, labels, masks, [3], cu, cv) is False
 
     def test_unknown_component_rejected(self, p5):
         g, p = p5
-        lab = connected_components(g, p.on_mask)
+        labels, masks = component_labels(g, p.on_mask)
         with pytest.raises(ContractViolation):
-            connected_by_set(g, lab, [2], 0, 99)
+            connected_by_set(g, labels, masks, [2], 0, 99)
 
     def test_active_vertex_in_set_rejected(self, p5):
         g, p = p5
-        lab = connected_components(g, p.on_mask)
+        labels, masks = component_labels(g, p.on_mask)
         with pytest.raises(ContractViolation):
-            connected_by_set(g, lab, [0], 0, 1)
+            connected_by_set(g, labels, masks, [0], 0, 1)
 
     @given(graphs(min_n=2, max_n=10), st.data())
     @settings(max_examples=120)
     def test_equals_post_activation_reachability(self, g, data):
         off = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
         p = StatePartition.from_off(g.n, off)
-        lab = connected_components(g, p.on_mask)
-        if lab.k < 2:
+        labels, masks = component_labels(g, p.on_mask)
+        if len(masks) < 2:
             return
         batch = data.draw(st.lists(st.sampled_from(sorted(off)), unique=True)) if off else []
         active_after = set(iter_bits(p.on_mask)) | set(batch)
-        for cu in range(lab.k):
-            for cv in range(cu + 1, lab.k):
-                u, v = lab.members[cu][0], lab.members[cv][0]
-                assert connected_by_set(g, lab, batch, cu, cv) == brute_connected(
+        for cu in range(len(masks)):
+            for cv in range(cu + 1, len(masks)):
+                u, v = labels.index(cu), labels.index(cv)
+                assert connected_by_set(g, labels, masks, batch, cu, cv) == brute_connected(
                     g, active_after, u, v
                 )
 
 
 class TestRegistry:
-    def test_register_and_build_custom_oracle(self):
+    def test_register_and_build_custom_oracle(self, oracle_registry):
         @register_oracle
         class _EchoOracle(DecrementalOracle):
             name = "echo-test"

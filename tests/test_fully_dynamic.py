@@ -6,12 +6,11 @@ import pytest
 from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     RebuildOracle,
-    connected_via_component,
     register_oracle,
 )
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, connected_components
+from sensconn.graph_core import Graph, StatePartition, component_labels
 from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
@@ -20,6 +19,7 @@ from sensconn.fully_dynamic_sensitivity import (
     fd_rollback,
     fd_update,
 )
+from sensconn.verify import connected_via_component
 
 from reference import brute_connected
 
@@ -86,7 +86,7 @@ class TestUpdate:
         # removes their bridge
         g = Graph.from_edges(5, [(3, 0), (3, 2), (4, 2), (4, 1)])
         p = StatePartition.from_off(5, [3, 4])
-        survivors = connected_components(g, p.on_mask & ~mask_of([2]))
+        survivors, _ = component_labels(g, p.on_mask & ~mask_of([2]))
         assert connected_via_component(g, survivors, 3, 4) is False
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [3, 4])
@@ -114,7 +114,7 @@ class TestUpdate:
         with pytest.raises(PhaseError):
             fd_update(s, [0], [])
 
-    def test_failed_update_leaves_the_structure_usable(self, p5):
+    def test_failed_update_leaves_the_structure_usable(self, p5, oracle_registry):
         class InjectedFault(RuntimeError):
             pass
 
@@ -160,7 +160,7 @@ class TestUpdate:
             )
             s = build_fully_dynamic(g, p)
             a = fd_update(s, down, off)
-            survivors = connected_components(g, p.on_mask & ~mask_of(down))
+            survivors, _ = component_labels(g, p.on_mask & ~mask_of(down))
             expected = {
                 (u, v)
                 for u, v in itertools.combinations(sorted(off), 2)
@@ -346,7 +346,7 @@ class TestDoubling:
         fam = build_doubling(g, p, 8)
         assert len({id(s) for s in fam.structures.values()}) == 1
 
-    def test_capacity_bound_factories_get_one_structure_per_level(self, p5):
+    def test_capacity_bound_factories_get_one_structure_per_level(self, p5, oracle_registry):
         @register_oracle
         class _SizedRebuild(RebuildOracle):
             name = "rebuild-sized-test"
@@ -356,3 +356,19 @@ class TestDoubling:
         fam = build_doubling(g, p, 5, oracle="rebuild-sized-test")
         assert len({id(s) for s in fam.structures.values()}) == 3
         assert [fam.structures[c].base.capacity for c in fam.capacities] == [2, 4, 8]
+
+    def test_batch_over_capacity_rejected_before_any_push(self, p5, oracle_registry):
+        @register_oracle
+        class _SizedRebuild(RebuildOracle):
+            name = "rebuild-sized-test"
+            d_dependent = True
+
+        g, p = p5
+        s = build_doubling(g, p, 2, oracle="rebuild-sized-test").structure_for(2)
+        with pytest.raises(CapacityError):
+            fd_update(s, [0, 1, 3], [2])  # d = 4 on a structure built for d = 2
+        assert s.session is None
+        assert all(o.phase == "fresh" for o in [s.base, *s.single.values()])
+        a = fd_update(s, [0], [2])
+        assert fd_query(s, a, 1, 3) is True
+        fd_rollback(s, a)

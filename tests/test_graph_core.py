@@ -10,7 +10,7 @@ from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
 from sensconn.graph_core import (
     Graph,
     UpdateBatch,
-    connected_components,
+    component_labels,
     dump_graph,
     load_graph,
     parse_query_text,
@@ -52,6 +52,19 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match="line 1"):
             load_graph("five 4\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1_0 0\nOFF 0\n", 1),  # int() reads 1_0 as 10
+            ("\u0663 0\nOFF 0\n", 1),  # int() reads Arabic-Indic three as 3
+            ("12 1\n0 1_0\nOFF 0\n", 2),
+            ("3 0\nOFF 1\n+1\n", 3),
+        ],
+    )
+    def test_integers_are_ascii_digits_only(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            load_graph(text)
+
     def test_edge_endpoint_out_of_range_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
             load_graph("3 2\n0 1\n1 7\nOFF 0\n")
@@ -88,29 +101,29 @@ class TestLoadGraph:
 class TestConnectedComponents:
     def test_path_with_middle_removed(self, p5):
         g, _ = p5
-        lab = connected_components(g, mask_of([0, 1, 3, 4]))
-        assert lab.k == 2
-        assert lab.members == ((0, 1), (3, 4))
-        assert lab.labels == (0, 0, -1, 1, 1)
+        labels, masks = component_labels(g, mask_of([0, 1, 3, 4]))
+        assert masks == [mask_of([0, 1]), mask_of([3, 4])]
+        assert labels == [0, 0, -1, 1, 1]
 
     def test_full_path_is_one_component(self, p5):
         g, _ = p5
-        assert connected_components(g, all_bits(5)).k == 1
+        assert component_labels(g, all_bits(5)) == ([0] * 5, [all_bits(5)])
 
     def test_star_with_center_off(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        lab = connected_components(g, mask_of([1, 2, 3]))
-        assert lab.k == 3
-        assert lab.members == ((1,), (2,), (3,))
+        labels, masks = component_labels(g, mask_of([1, 2, 3]))
+        assert masks == [mask_of([1]), mask_of([2]), mask_of([3])]
+        assert labels == [-1, 0, 1, 2]
 
     def test_empty_active_set(self, p5):
         g, _ = p5
-        assert connected_components(g, 0).k == 0
+        assert component_labels(g, 0) == ([-1] * 5, [])
 
     def test_numbering_follows_smallest_member(self):
         g = Graph.from_edges(6, [(4, 5), (0, 3)])
-        lab = connected_components(g, all_bits(6))
-        assert lab.members == ((0, 3), (1,), (2,), (4, 5))
+        labels, masks = component_labels(g, all_bits(6))
+        assert masks == [mask_of([0, 3]), mask_of([1]), mask_of([2]), mask_of([4, 5])]
+        assert labels == [0, 1, 2, 0, 3, 3]
 
     def test_exhaustive_small_graphs_match_reference(self):
         for n in range(1, 6):
@@ -119,18 +132,21 @@ class TestConnectedComponents:
                 g = Graph.from_edges(n, [pairs[i] for i in iter_bits(edge_bits)])
                 for active_bits in range(1 << n):
                     active = set(iter_bits(active_bits))
-                    lab = connected_components(g, active_bits)
-                    assert set(map(frozenset, lab.members)) == set(brute_components(g, active))
+                    labels, masks = component_labels(g, active_bits)
+                    comps = [frozenset(iter_bits(mk)) for mk in masks]
+                    assert set(comps) == set(brute_components(g, active))
+                    assert all(labels[v] == c for c, comp in enumerate(comps) for v in comp)
 
     @given(graphs(max_n=64), st.data())
     @settings(max_examples=80)
     def test_random_graphs_match_reference(self, g, data):
         active_bits = data.draw(st.integers(0, (1 << g.n) - 1))
         active = set(iter_bits(active_bits))
-        lab = connected_components(g, active_bits)
+        labels, _ = component_labels(g, active_bits)
+        assert all((labels[v] == -1) == (v not in active) for v in range(g.n))
         for u in active:
             for v in active:
-                assert lab.same_component(u, v) == brute_connected(g, active, u, v)
+                assert (labels[u] == labels[v]) == brute_connected(g, active, u, v)
 
 
 class TestReachableMask:
@@ -169,6 +185,11 @@ class TestUpdateAndQueryFiles:
 
     def test_query_pairs(self):
         assert parse_query_text("0 4\n1 3\n") == [(0, 4), (1, 3)]
+
+    @pytest.mark.parametrize("text", ["0 \u0663\n", "0 1_0\n", "-1 0\n"])
+    def test_query_ids_are_ascii_digits_only(self, text):
+        with pytest.raises(ParseError, match="line 1:"):
+            parse_query_text(text)
 
     def test_query_dangling_endpoint(self):
         with pytest.raises(ParseError, match="dangling"):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 
 from sensconn.bits import has_bit, iter_bits, word_count
-from sensconn.connectivity_oracle import connected_via_component
 from sensconn.errors import ContractViolation, QueryEndpointError
 from sensconn.generators import gnp_graph, star_graph
 from sensconn.graph_core import Graph, StatePartition
@@ -15,6 +14,7 @@ from sensconn.incremental_sensitivity import (
     incremental_query_probed,
     incremental_update,
 )
+from sensconn.verify import connected_via_component
 
 from reference import brute_connected
 from strategies import graphs_with_partition
@@ -28,36 +28,37 @@ class TestBuild:
     def test_path_fixture_arrays(self, p5):
         g, p = p5
         idx = build_incremental(g, p)
-        assert idx.labeling.k == 2
+        assert idx.labels == (0, 0, -1, 1, 1)
         # the single off vertex is adjacent to both components
         assert idx.comp_adj == (0b1, 0b1)
-        assert idx.off_adj[0].comp_mask == 0b11
         # own bit cleared, nothing else inactive
-        assert idx.off_adj[0].off_mask == 0
+        assert idx.off_reach == (0,)
 
     def test_shared_component_sets_reach_bit(self):
         # inactive 2 and 3 both touch the active component {0, 1}
         g = Graph.from_edges(4, [(2, 0), (0, 1), (1, 3)])
         p = StatePartition.from_off(4, [2, 3])
         idx = build_incremental(g, p)
-        assert has_bit(idx.off_adj[p.off_index[2]].off_mask, p.off_index[3])
-        assert has_bit(idx.off_adj[p.off_index[3]].off_mask, p.off_index[2])
+        assert has_bit(idx.off_reach[p.off_index[2]], p.off_index[3])
+        assert has_bit(idx.off_reach[p.off_index[3]], p.off_index[2])
 
     def test_direct_edge_between_inactive_vertices(self):
         g = Graph.from_edges(2, [(0, 1)])
         p = StatePartition.from_off(2, [0, 1])
         idx = build_incremental(g, p)
-        assert idx.off_adj[0].comp_mask == 0
-        assert has_bit(idx.off_adj[0].off_mask, 1)
-        assert has_bit(idx.off_adj[1].off_mask, 0)
+        assert idx.comp_adj == ()
+        assert has_bit(idx.off_reach[0], 1)
+        assert has_bit(idx.off_reach[1], 0)
 
     @given(graphs_with_partition(max_n=10))
     def test_adjacency_families_are_symmetric(self, gp):
         g, p = gp
         idx = build_incremental(g, p)
-        for c in range(idx.labeling.k):
-            for j in range(p.n_off):
-                assert has_bit(idx.comp_adj[c], j) == has_bit(idx.off_adj[j].comp_mask, c)
+        # component c has bit j iff off vertex j has an edge into c
+        for j, u in enumerate(p.off_vertices):
+            touched = {idx.labels[w] for w in g.adj[u]} - {-1}
+            for c in range(len(idx.comp_adj)):
+                assert has_bit(idx.comp_adj[c], j) == (c in touched)
 
     @given(graphs_with_partition(max_n=10))
     def test_reach_mask_matches_predicate(self, gp):
@@ -67,14 +68,15 @@ class TestBuild:
             for v in p.off_vertices:
                 if u == v:
                     continue
-                expected = connected_via_component(g, idx.labeling, u, v)
-                assert has_bit(idx.off_adj[p.off_index[u]].off_mask, p.off_index[v]) == expected
+                expected = connected_via_component(g, idx.labels, u, v)
+                assert has_bit(idx.off_reach[p.off_index[u]], p.off_index[v]) == expected
 
     @given(graphs_with_partition(max_n=12))
     def test_or_word_counter_is_exact(self, gp):
         g, p = gp
         idx = build_incremental(g, p)
-        expected = sum(a.comp_mask.bit_count() for a in idx.off_adj) * word_count(p.n_off)
+        # one OR of a word-packed off mask per (off vertex, touched component)
+        expected = sum(c.bit_count() for c in idx.comp_adj) * word_count(p.n_off)
         assert idx.build_or_words == expected
 
 
@@ -101,7 +103,7 @@ class TestUpdate:
         p = StatePartition.from_off(6, [3, 4, 5])
         idx = build_incremental(g, p)
         for u, v in itertools.combinations([3, 4, 5], 2):
-            assert connected_via_component(g, idx.labeling, u, v) is False
+            assert connected_via_component(g, idx.labels, u, v) is False
         sg = incremental_update(idx, [3, 4, 5])
         assert sg.edges == ()
         assert sg.k == 3
@@ -133,7 +135,7 @@ class TestUpdate:
             expected = {
                 (u, v)
                 for u, v in itertools.combinations(sorted(off), 2)
-                if connected_via_component(g, idx.labeling, u, v)
+                if connected_via_component(g, idx.labels, u, v)
             }
             assert set(sg.edges) == expected
 

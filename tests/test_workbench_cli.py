@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sensconn.connectivity_oracle import RebuildOracle, oracle_names, register_oracle
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
 from sensconn.workbench_cli import main
@@ -191,6 +192,43 @@ class TestBenchCommand:
         assert code == 0
         assert "skipped" in err
         assert " 32 " not in out
+
+    @pytest.mark.parametrize("sizes", ["1,x", "-1", "\u0663"])
+    def test_bad_batch_size_is_one_error_line(self, capsys, bench_graph, sizes):
+        code, out, err = run_cli(capsys, "bench", "--graph", str(bench_graph), "--batch-sizes", sizes)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_default_factories_are_every_registered_one(self, capsys, bench_graph, tmp_path,
+                                                         oracle_registry):
+        @register_oracle
+        class _RebuildTwin(RebuildOracle):
+            name = "rebuild-twin-test"
+
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(
+            capsys, "bench", "--graph", str(bench_graph),
+            "--batch-sizes", "2", "--repeats", "1", "--queries", "5", "--out", str(out_csv),
+        )
+        assert code == 0
+        rows = out_csv.read_text().splitlines()[1:]
+        assert sorted(r.split(",")[0] for r in rows) == oracle_names()
+        assert "rebuild-twin-test" in oracle_names()
+
+    def test_update_columns_are_measured(self, capsys, bench_graph, tmp_path):
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(
+            capsys, "bench", "--graph", str(bench_graph), "--oracle", "rebuild",
+            "--batch-sizes", "4", "--repeats", "0", "--out", str(out_csv),
+        )
+        assert code == 0
+        header, row = (line.split(",") for line in out_csv.read_text().splitlines())
+        got = dict(zip(header, row))
+        # no batch ran, so nothing was measured; the formulas still read as such
+        assert (got["update_delete_calls"], got["update_pair_queries"]) == ("0", "0")
+        assert (got["formula_delete_calls"], got["formula_pair_queries"]) == ("11", "6")
 
     def test_nothing_active_is_one_error_line(self, capsys, tmp_path):
         graph = tmp_path / "all_off.graph"
