@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from .bits import all_bits, has_bit, mask_of, word_count
+from .bits import all_bits, has_bit, iter_bits, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
 from .graph_core import component_labels, reachable_mask
 
@@ -49,23 +49,32 @@ class DecrementalOracle(abc.ABC):
     legal in either phase. Query endpoints and deleted vertices must lie in
     ``active``.
 
+    ``base`` is an optional oracle over the same graph whose active set is a
+    subset of ``active``. An implementation may reuse the work ``base`` has
+    done for the batch it currently holds, and must stay correct whatever
+    that batch is, including after ``base`` is reset; ``base`` is only read.
+
     Instances are single-threaded: every call, queries included, updates
     ``costs`` (a query adds to ``t_q``), so calls on one oracle must not
-    overlap.
+    overlap, nor overlap calls on its ``base``.
     """
 
     name = "abstract"
     d_dependent = False  # True for implementations sized to a fixed batch capacity
 
-    def __init__(self, graph, active: int | None = None, d: int | None = None):
+    def __init__(self, graph, active: int | None = None, d: int | None = None,
+                 base: "DecrementalOracle | None" = None):
         full = all_bits(graph.n)
         if active is None:
             active = full
         elif active & ~full:
             raise ContractViolation(f"active mask names vertices outside [0, {graph.n})")
+        if base is not None and (base.graph is not graph or base.active & ~active):
+            raise ContractViolation("base oracle must be over the same graph and a subset of active")
         self.graph = graph
         self.active = active
         self.capacity = d
+        self.base = base
         self.costs = OracleCosts()
         self.deleted: frozenset[int] = frozenset()
         self.phase = FRESH
@@ -84,12 +93,14 @@ class DecrementalOracle(abc.ABC):
         self.phase = UPDATED
 
     def query(self, u: int, v: int) -> bool:
-        n, active = self.graph.n, self.active
-        for x in (u, v):
-            if not (0 <= x < n and active >> x & 1):
-                raise QueryEndpointError(f"vertex {x} is not active in this oracle")
-            if x in self.deleted:
-                raise QueryEndpointError(f"vertex {x} is deleted")
+        active, deleted = self.active, self.deleted
+        # active lies within [0, n), so the shift also rejects ids >= n
+        if u < 0 or v < 0 or not (active >> u & 1 and active >> v & 1) or u in deleted or v in deleted:
+            for x in (u, v):  # name the first bad endpoint
+                if x < 0 or not active >> x & 1:
+                    raise QueryEndpointError(f"vertex {x} is not active in this oracle")
+                if x in deleted:
+                    raise QueryEndpointError(f"vertex {x} is deleted")
         return self._connected(u, v)
 
     def reset(self) -> None:
@@ -119,9 +130,11 @@ def register_oracle(cls):
     return cls
 
 
-def make_oracle(name: str, graph, active: int | None = None, d: int | None = None) -> DecrementalOracle:
-    """Build the registered oracle ``name`` over ``graph[active]``."""
-    return oracle_class(name)(graph, active, d=d)
+def make_oracle(name: str, graph, active: int | None = None, d: int | None = None,
+                base: DecrementalOracle | None = None) -> DecrementalOracle:
+    """Build the registered oracle ``name`` over ``graph[active]``, reusing
+    ``base`` (an oracle over a subset of ``active``) where it can."""
+    return oracle_class(name)(graph, active, d=d, base=base)
 
 
 def oracle_class(name: str) -> type[DecrementalOracle]:
@@ -136,31 +149,83 @@ def oracle_names() -> list[str]:
 
 @register_oracle
 class RebuildOracle(DecrementalOracle):
-    """Baseline oracle: recompute a full component labeling at each deletion.
+    """Baseline oracle: a component labeling of the survivors; queries are
+    two label reads. A deletion floods the survivors, unless a rebuild
+    ``base`` holds the same batch: then the oracle shares the base's labels
+    and only records, in O(deg) of its extra vertices, which base components
+    they join.
 
-    Deleting costs one pass over the graph, queries are two label reads.
+    A labeling is ``(labels, merge)``. ``labels`` labels some survivors and
+    is -1 elsewhere; it is shared and never mutated. A vertex's key is its
+    label, or ``~v`` where the label is -1; ``merge`` maps keys to component
+    ids (an absent key is its own id) and holds every survivor left at -1.
     """
 
     name = "rebuild"
 
     def _preprocess(self):
-        g = self.graph
-        self._fresh_labels, _ = component_labels(g, self.active)
-        self._labels = self._fresh_labels
-        self.costs.t_p += g.n + 2 * g.m
-        self.costs.space_s = g.n + word_count(g.n)
+        g, base = self.graph, self.base
+        if isinstance(base, RebuildOracle):
+            self._extras = tuple(iter_bits(self.active & ~base.active))
+            self._fresh, work = self._extend(base._fresh)
+            self.costs.t_p += work
+            self.costs.space_s = 1 + len(self._extras) + len(self._fresh[1])
+        else:
+            self._fresh = component_labels(g, self.active)[0], {}
+            self.costs.t_p += g.n + 2 * g.m
+            self.costs.space_s = g.n + word_count(g.n)
+        self._labels, self._merge = self._fresh
 
     def _apply_delete(self, vertices):
-        g = self.graph
-        self._labels, _ = component_labels(g, self.active & ~mask_of(vertices))
-        self.costs.t_u += g.n + 2 * g.m
+        g, base = self.graph, self.base
+        if not vertices:
+            (self._labels, self._merge), work = self._fresh, 1
+        elif isinstance(base, RebuildOracle) and base.deleted == vertices:
+            # vertices lie in base.active, so every extra survives
+            (self._labels, self._merge), work = self._extend((base._labels, base._merge))
+        else:
+            self._labels, self._merge = component_labels(g, self.active & ~mask_of(vertices))[0], {}
+            work = g.n + 2 * g.m
+        self.costs.t_u += work
+
+    def _extend(self, labeling):
+        """``labeling`` plus this oracle's extra vertices, and the work done:
+        a union-find over the component ids the extras touch."""
+        labels, merge = labeling
+        adj, extras = self.graph.adj, self._extras
+        parent: dict[int, int] = {}
+
+        def find(k):
+            while parent.get(k, k) != k:
+                k = parent[k]
+            return k
+
+        for x in extras:
+            parent.setdefault(~x, ~x)
+            for w in adj[x]:
+                k = labels[w]
+                if k < 0:
+                    k = ~w
+                    if k not in merge and w not in extras:
+                        continue  # not a survivor
+                a, b = find(~x), find(merge.get(k, k))
+                if a != b:
+                    parent[a] = b
+        out = {k: find(v) for k, v in merge.items()}
+        out.update((k, find(k)) for k in parent)
+        return (labels, out), len(merge) + sum(len(adj[x]) for x in extras)
 
     def _apply_reset(self):
-        self._labels = self._fresh_labels
+        self._labels, self._merge = self._fresh
 
     def _connected(self, u, v):
         self.costs.t_q += 2
-        return self._labels[u] == self._labels[v]
+        labels, merge = self._labels, self._merge
+        lu, lv = labels[u], labels[v]
+        if merge:
+            lu = merge.get(lu if lu >= 0 else ~u, lu)
+            lv = merge.get(lv if lv >= 0 else ~v, lv)
+        return lu == lv
 
 
 @register_oracle

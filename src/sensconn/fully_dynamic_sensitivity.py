@@ -7,6 +7,10 @@ vertex ids. An update pushes the deactivations into the oracles it will
 actually consult, then builds the bridge graph over the activated vertices
 from pair-oracle queries. A query needs at most 1 + 2d oracle queries.
 
+Every augmented oracle gets the base oracle as its ``base``; with the
+``rebuild`` factory the whole family then shares one survivor labeling, made
+once at build and once per update that deactivates anything.
+
 Also provides the capacity-doubling wrapper that routes an update of size d
 to the smallest structure built for at least d flips.
 """
@@ -62,12 +66,13 @@ def build_fully_dynamic(
     """Build oracles over the base active graph and all its augmentations.
 
     Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles, all over ``g``
-    with different active masks.
+    with different active masks; the augmented ones get the base oracle as
+    their ``base``.
     """
     base = make_oracle(oracle, g, p.on_mask, d=d)
-    single = {u: make_oracle(oracle, g, p.on_mask | 1 << u, d=d) for u in p.off_vertices}
+    single = {u: make_oracle(oracle, g, p.on_mask | 1 << u, d=d, base=base) for u in p.off_vertices}
     pairs = {
-        frozenset((a, b)): make_oracle(oracle, g, p.on_mask | 1 << a | 1 << b, d=d)
+        frozenset((a, b)): make_oracle(oracle, g, p.on_mask | 1 << a | 1 << b, d=d, base=base)
         for a, b in combinations(p.off_vertices, 2)
     }
     probes = base.costs.t_p
@@ -89,9 +94,11 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
     the bridge graph over the activated vertices from pair-oracle queries.
 
     Oracle-call accounting: delete calls = 1 + |I| + C(|I|, 2) and pair
-    queries = C(|I|, 2) where I is the activation set. A batch larger than
-    the capacity the oracles were built for raises CapacityError before any
-    oracle is touched. If any later step raises, the batch's oracles are
+    queries = C(|I|, 2) where I is the activation set. The base oracle is
+    pushed first, so with ``rebuild`` the update makes one component
+    labeling if it deactivates anything and none otherwise. A batch larger
+    than the capacity the oracles were built for raises CapacityError before
+    any oracle is touched. If any later step raises, the batch's oracles are
     reset before the exception propagates, so the structure stays ready for
     the next update.
     """

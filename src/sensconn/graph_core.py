@@ -22,6 +22,10 @@ from typing import Iterable, Iterator, Mapping
 from .bits import all_bits, has_bit, iter_bits, mask_of
 from .errors import ContractViolation, ParseError, QueryEndpointError
 
+# Largest vertex count load_graph accepts; it allocates per vertex before
+# reading any edge, and every mask and labeling is O(n) per operation.
+MAX_VERTICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -194,8 +198,9 @@ def _token_stream(text: str) -> list[tuple[str, int]]:
 def load_graph(text: str) -> tuple[Graph, StatePartition]:
     """Parse the graph file format into a normalized Graph and its partition.
 
-    Duplicate edges collapse, self loops drop. Malformed headers, ids >= n
-    and unknown OFF vertices raise ParseError naming the offending line.
+    Duplicate edges collapse, self loops drop. Malformed headers, a vertex
+    count above MAX_VERTICES, ids >= n and unknown OFF vertices raise
+    ParseError naming the offending line.
     """
     toks = _token_stream(text)
     pos = 0
@@ -213,7 +218,9 @@ def load_graph(text: str) -> tuple[Graph, StatePartition]:
         tok, lineno = take(what)
         return parse_int(tok, what, lineno), lineno
 
-    n, _ = take_int("vertex count")
+    n, lineno = take_int("vertex count")
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lineno)
     m, _ = take_int("edge count")
 
     edges = []

@@ -178,6 +178,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag, value in (("--repeats", args.repeats), ("--queries", args.queries)):
+        if value < 0:
+            raise ContractViolation(f"{flag} must be non-negative, got {value}")
     g, p = load_graph(_read(args.graph))
     sizes = [parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok]
     factories = args.oracle or oracle_names()
@@ -260,8 +263,11 @@ def cmd_bench(args) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SensConnError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -224,6 +224,95 @@ class TestConformance:
             make_oracle("rebuild", path_graph(3), mask_of([0, 3]))
 
 
+class TestSharedLabeling:
+    """A rebuild oracle built over a base rebuild oracle reuses the base's
+    labeling when the base holds the same batch, and must answer right
+    whatever the base holds."""
+
+    @staticmethod
+    def instances(seed, trials=40):
+        """Graph, base active mask, 1-2 extra vertices, and a batch D inside
+        the base mask."""
+        rng = random.Random(seed)
+        for _ in range(trials):
+            n = rng.randint(3, 12)
+            g = gnp_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+            extras = rng.sample(range(n), rng.randint(1, 2))
+            inside = [v for v in range(n) if v not in extras and rng.random() < 0.8]
+            batch = set(rng.sample(inside, rng.randint(0, min(3, len(inside)))))
+            yield rng, g, mask_of(inside), extras, batch
+
+    @staticmethod
+    def assert_matches_reference(o, active_mask):
+        ref = BruteForceReference(o.graph, active_mask)
+        alive = list(iter_bits(active_mask))
+        for u in alive:
+            for v in alive:
+                assert o.query(u, v) == ref.connected(u, v), (u, v)
+
+    def augmented(self, g, base_mask, extras):
+        base = make_oracle("rebuild", g, base_mask)
+        o = make_oracle("rebuild", g, base_mask | mask_of(extras), base=base)
+        return base, o
+
+    def test_fresh_answers(self):
+        for _, g, base_mask, extras, _ in self.instances(1):
+            _, o = self.augmented(g, base_mask, extras)
+            self.assert_matches_reference(o, o.active)
+
+    @pytest.mark.parametrize("base_holds", ["same batch", "nothing", "another batch"])
+    def test_delete_whatever_the_base_holds(self, base_holds):
+        for rng, g, base_mask, extras, batch in self.instances(2):
+            base, o = self.augmented(g, base_mask, extras)
+            if base_holds == "same batch":
+                base.delete_batch(batch)
+            elif base_holds == "another batch" and base_mask:
+                base.delete_batch(batch ^ {rng.choice(sorted(iter_bits(base_mask)))})
+            o.delete_batch(batch)
+            self.assert_matches_reference(o, o.active & ~mask_of(batch))
+            o.reset()
+            self.assert_matches_reference(o, o.active)
+
+    def test_base_reset_while_the_oracle_holds_its_batch(self):
+        for rng, g, base_mask, extras, batch in self.instances(3):
+            base, o = self.augmented(g, base_mask, extras)
+            base.delete_batch(batch)
+            o.delete_batch(batch)
+            base.reset()
+            if base_mask:
+                base.delete_batch({rng.choice(sorted(iter_bits(base_mask)))})
+            self.assert_matches_reference(o, o.active & ~mask_of(batch))
+
+    def test_deleting_an_own_extra(self):
+        for rng, g, base_mask, extras, batch in self.instances(4):
+            base, o = self.augmented(g, base_mask, extras)
+            base.delete_batch(batch)
+            mine = batch | {rng.choice(extras)}
+            o.delete_batch(mine)
+            self.assert_matches_reference(o, o.active & ~mask_of(mine))
+
+    def test_chained_bases(self):
+        # base -> one extra -> two extras, every level holding the same batch
+        for _, g, base_mask, extras, batch in self.instances(5):
+            base = make_oracle("rebuild", g, base_mask)
+            mid = make_oracle("rebuild", g, base_mask | 1 << extras[0], base=base)
+            top = make_oracle("rebuild", g, base_mask | mask_of(extras), base=mid)
+            self.assert_matches_reference(top, top.active)
+            for o in (base, mid, top):
+                o.delete_batch(batch)
+            self.assert_matches_reference(top, top.active & ~mask_of(batch))
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_base_must_be_a_subset_over_the_same_graph(self, factory):
+        g = path_graph(4)
+        base = make_oracle(factory, g, mask_of([0, 1]))
+        with pytest.raises(ContractViolation):
+            make_oracle(factory, g, mask_of([1, 2]), base=base)
+        with pytest.raises(ContractViolation):
+            make_oracle(factory, path_graph(4), mask_of([0, 1, 2]), base=base)
+        assert make_oracle(factory, g, mask_of([0, 1, 2]), base=base).query(0, 2) is True
+
+
 class TestBruteForceReference:
     def test_matches_independent_bfs(self):
         rng = random.Random(17)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sensconn.connectivity_oracle as oracle_mod
 from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     RebuildOracle,
@@ -168,6 +169,60 @@ class TestUpdate:
             }
             assert set(a.supergraph.edges) == expected
             fd_rollback(s, a)
+
+
+class TestLabelingsPerBatch:
+    """The rebuild family labels the survivors once per structure and once
+    per update that deactivates anything; every augmented oracle shares
+    that labeling."""
+
+    @pytest.fixture
+    def labelings(self, monkeypatch):
+        calls = []
+
+        def counted(g, mask):
+            calls.append(mask)
+            return component_labels(g, mask)
+
+        monkeypatch.setattr(oracle_mod, "component_labels", counted)
+        return calls
+
+    @staticmethod
+    def instance():
+        rng = random.Random(8)
+        g = gnp_graph(24, 0.12, rng)
+        return g, StatePartition.from_off(24, range(0, 24, 4))
+
+    def test_one_labeling_per_structure(self, labelings):
+        g, p = self.instance()
+        s = build_fully_dynamic(g, p)
+        assert s.oracle_count == 1 + 6 + 15
+        assert labelings == [p.on_mask]
+        build_doubling(g, p, 4)
+        assert len(labelings) == 2
+
+    @pytest.mark.parametrize("down, up", [([1], []), ([1, 2], [0, 4, 8]), ([5, 6, 7], [12, 16])])
+    def test_one_labeling_per_update_that_deactivates(self, labelings, down, up):
+        g, p = self.instance()
+        s = build_fully_dynamic(g, p)
+        labelings.clear()
+        a = fd_update(s, down, up)
+        assert labelings == [p.on_mask & ~mask_of(down)]
+        active = (set(iter_bits(p.on_mask)) - set(down)) | set(up)
+        for u in active:
+            for v in active:
+                assert fd_query(s, a, u, v) == brute_connected(g, active, u, v)
+        fd_rollback(s, a)
+
+    @pytest.mark.parametrize("up", [[], [0], [0, 4, 8, 12]])
+    def test_no_labeling_for_an_activation_only_update(self, labelings, up):
+        g, p = self.instance()
+        s = build_fully_dynamic(g, p)
+        labelings.clear()
+        a = fd_update(s, [], up)
+        assert labelings == []
+        assert a.delete_calls == 1 + len(up) + pairs_of(len(up))
+        fd_rollback(s, a)
 
 
 class TestQuery:

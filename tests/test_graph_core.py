@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
+import sensconn.graph_core as graph_core
 from sensconn.graph_core import (
     Graph,
     UpdateBatch,
@@ -84,6 +85,13 @@ class TestLoadGraph:
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ParseError, match="trailing"):
             load_graph("2 0\nOFF 0\n7\n")
+
+    def test_vertex_count_over_the_cap_rejected_before_reading_edges(self, monkeypatch):
+        monkeypatch.setattr(graph_core, "MAX_VERTICES", 8)
+        assert load_graph("8 0\nOFF 0\n")[0].n == 8
+        # the edge on line 2 is out of range too; the header is checked first
+        with pytest.raises(ParseError, match="line 1: vertex count 9 exceeds the cap of 8"):
+            load_graph("9 1\n0 99\nOFF 0\n")
 
     def test_roundtrip_fixture(self, p5):
         g, p = p5

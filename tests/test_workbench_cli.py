@@ -98,6 +98,26 @@ class TestRun:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("which", ["--graph", "--update", "--query"])
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not utf-8"])
+    def test_unreadable_input_file_is_one_error_line(self, capsys, tmp_path, which, problem):
+        bad = tmp_path / "bad.txt"
+        if problem == "directory":
+            bad.mkdir()
+        elif problem == "not utf-8":
+            bad.write_bytes(b"\xff\xfe\n")
+        files = {
+            "--graph": str(FIXTURES / "p5.graph"),
+            "--update": str(FIXTURES / "p5.update"),
+            "--query": str(FIXTURES / "p5.query"),
+            which: str(bad),
+        }
+        code, out, err = run_cli(capsys, "run", *(x for kv in files.items() for x in kv))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {bad}: ")
+
     def test_non_ascii_digit_in_update_is_one_error_line(self, capsys, tmp_path):
         update = tmp_path / "sup.update"
         update.write_text("+\u00b2\n", encoding="utf-8")
@@ -229,6 +249,20 @@ class TestBenchCommand:
         # no batch ran, so nothing was measured; the formulas still read as such
         assert (got["update_delete_calls"], got["update_pair_queries"]) == ("0", "0")
         assert (got["formula_delete_calls"], got["formula_pair_queries"]) == ("11", "6")
+
+    def test_missing_graph_is_one_error_line(self, capsys, tmp_path):
+        missing = tmp_path / "missing.graph"
+        code, out, err = run_cli(capsys, "bench", "--graph", str(missing))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: cannot read {missing}: No such file or directory"]
+
+    @pytest.mark.parametrize("flag, value", [("--repeats", "-2"), ("--queries", "-1")])
+    def test_negative_count_is_one_error_line(self, capsys, bench_graph, flag, value):
+        code, out, err = run_cli(capsys, "bench", "--graph", str(bench_graph), flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {flag} must be non-negative, got {value}"]
 
     def test_nothing_active_is_one_error_line(self, capsys, tmp_path):
         graph = tmp_path / "all_off.graph"
