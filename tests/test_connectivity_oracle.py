@@ -291,12 +291,14 @@ class TestSharedLabeling:
             o.delete_batch(mine)
             self.assert_matches_reference(o, o.active & ~mask_of(mine))
 
-    def test_chained_bases(self):
-        # base -> one extra -> two extras, every level holding the same batch
+    def test_an_augmented_base_is_not_reused(self):
+        # base -> one extra -> two extras: top's base has a base of its own,
+        # so top floods its own survivors, at build and on every push
         for _, g, base_mask, extras, batch in self.instances(5):
             base = make_oracle("rebuild", g, base_mask)
             mid = make_oracle("rebuild", g, base_mask | 1 << extras[0], base=base)
             top = make_oracle("rebuild", g, base_mask | mask_of(extras), base=mid)
+            assert top.costs.t_p == g.n + 2 * g.m
             self.assert_matches_reference(top, top.active)
             for o in (base, mid, top):
                 o.delete_batch(batch)

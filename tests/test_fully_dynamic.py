@@ -225,6 +225,27 @@ class TestLabelingsPerBatch:
         fd_rollback(s, a)
 
 
+class TestInactiveHub:
+    """An inactive vertex whose neighbours lie in thousands of base
+    components: its oracles' merge maps still cost O(deg), at build and per
+    push, not O(deg^2)."""
+
+    def test_star_with_an_inactive_centre(self):
+        leaves = 3000
+        g = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        p = StatePartition.from_off(leaves + 1, [0, 1])
+        s = build_fully_dynamic(g, p)
+        hub_oracles = (s.single[0], s.pairs[frozenset((0, 1))])
+        for o in hub_oracles:
+            assert o.costs.t_p <= 3 * leaves
+        a = fd_update(s, [2], [0, 1])
+        for o in hub_oracles:
+            assert 0 < o.costs.t_u <= 3 * leaves
+        assert fd_query(s, a, 1, leaves) is True
+        assert fd_query(s, a, 3, leaves) is True
+        fd_rollback(s, a)
+
+
 class TestQuery:
     def test_bridged_path(self, p5):
         g, p = p5
