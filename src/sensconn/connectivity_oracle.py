@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bits import all_bits, has_bit, iter_bits, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
-from .graph_core import component_labels, reachable_mask
+from .graph_core import component_labels, reachable_mask, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
@@ -154,11 +154,12 @@ def oracle_names() -> list[str]:
 @register_oracle
 class RebuildOracle(DecrementalOracle):
     """Baseline oracle: a component labeling of the survivors; queries are
-    two label reads. A deletion floods the survivors, unless the oracle's
-    ``base`` is a plain ``rebuild`` oracle (one without a base of its own)
-    holding the same batch: then the oracle shares the base's labels and
-    only records, in O(deg) of its extra vertices, which base components
-    they join.
+    two label reads. An oracle that made its own labeling at build splits
+    it locally on a deletion (``split_labels``). One whose ``base`` is a
+    plain ``rebuild`` oracle (one without a base of its own) shares the
+    base's labels and records only, in O(deg) of its extra vertices, which
+    base components they join; a deletion the base does not hold as well
+    labels the survivors from scratch.
 
     A labeling is ``(labels, merge)``. ``labels`` labels some survivors and
     is -1 elsewhere; it is shared and never mutated. A vertex's key is its
@@ -177,7 +178,8 @@ class RebuildOracle(DecrementalOracle):
             self.costs.t_p += work
             self.costs.space_s = 1 + len(self._extras) + len(self._fresh[1])
         else:
-            self._fresh = component_labels(g, self.active)[0], {}
+            labels, masks = component_labels(g, self.active)
+            self._fresh, self._count = (labels, {}), len(masks)
             self.costs.t_p += g.n + 2 * g.m
             self.costs.space_s = g.n + word_count(g.n)
         self._labels, self._merge = self._fresh
@@ -186,7 +188,10 @@ class RebuildOracle(DecrementalOracle):
         g, base = self.graph, self.base
         if not vertices:
             (self._labels, self._merge), work = self._fresh, 1
-        elif self._reuse and base.deleted == vertices:
+        elif not self._reuse:
+            labels, _, work = split_labels(g, self._fresh[0], self._count, vertices)
+            self._labels, self._merge = labels, {}
+        elif base.deleted == vertices:
             # vertices lie in base.active, so every extra survives
             (self._labels, self._merge), work = self._extend(base._labels)
         else:

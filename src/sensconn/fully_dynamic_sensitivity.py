@@ -9,7 +9,7 @@ from pair-oracle queries. A query needs at most 1 + 2d oracle queries.
 
 Every augmented oracle gets the base oracle as its ``base``; with the
 ``rebuild`` factory the whole family then shares one survivor labeling, made
-once at build and once per update that deactivates anything.
+once at build and split locally by each update that deactivates anything.
 
 Also provides the capacity-doubling wrapper that routes an update of size d
 to the smallest structure built for at least d flips.
@@ -95,8 +95,8 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
 
     Oracle-call accounting: delete calls = 1 + |I| + C(|I|, 2) and pair
     queries = C(|I|, 2) where I is the activation set. The base oracle is
-    pushed first, so with ``rebuild`` the update makes one component
-    labeling if it deactivates anything and none otherwise. A batch larger
+    pushed first, so with ``rebuild`` the family shares the base's labeling,
+    split locally around the deactivated vertices. A batch larger
     than the capacity the oracles were built for raises CapacityError before
     any oracle is touched. If any later step raises, the batch's oracles are
     reset before the exception propagates, so the structure stays ready for

@@ -1,5 +1,6 @@
 """Static graphs, on/off vertex partitions, component labeling over an
-active vertex mask, and the text file formats every other module consumes.
+active vertex mask and its local split after deletions, and the text file
+formats every other module consumes.
 
 Graph file format (UTF-8 text, lines starting with '#' are ignored anywhere):
 
@@ -134,9 +135,147 @@ class UpdateBatch:
         return cls(down, up)
 
 
-def _flood(g, active_mask: int, seed: int) -> int:
-    """Vertices of ``active_mask`` reachable from the vertex mask ``seed``."""
-    reach = frontier = seed
+def _span_mask(vs: list[int]) -> int:
+    """``mask_of(vs)`` in O(len(vs) + span/8): one byte buffer over the
+    span of ``vs`` instead of a growing big-int OR per member."""
+    if len(vs) == 1:
+        return 1 << vs[0]
+    lo = min(vs)
+    buf = bytearray(((max(vs) - lo) >> 3) + 1)
+    for v in vs:
+        v -= lo
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little") << lo
+
+
+def component_labels(g, active_mask: int) -> tuple[list[int], list[int]]:
+    """Component labeling of the subgraph induced by ``active_mask``, over
+    any object exposing ``n`` and ``adj``, in time linear in n + m.
+
+    Returns (labels, per-component vertex masks). Components are numbered by
+    their smallest vertex, so the output is deterministic; labels are -1
+    outside the active set.
+    """
+    n, adj = g.n, g.adj
+    labels = [-1] * n
+    masks: list[int] = []
+    # on[v] == "1" iff v is active; bin() writes the highest bit first
+    on = bin(active_mask)[:1:-1].ljust(n, "0")
+    for s in range(n):
+        if on[s] != "1" or labels[s] >= 0:
+            continue
+        cid = len(masks)
+        labels[s] = cid
+        comp = [s]
+        for v in comp:  # comp grows while it is read: a breadth-first search
+            for w in adj[v]:
+                if labels[w] < 0 and on[w] == "1":
+                    labels[w] = cid
+                    comp.append(w)
+        masks.append(_span_mask(comp))
+    return labels, masks
+
+
+def split_labels(g, labels: list[int], count: int, deleted) -> tuple[list[int], int, int]:
+    """The component labeling left when ``deleted`` leaves the active set of
+    ``labels``, found locally.
+
+    ``labels`` labels the components of some active set with ids below
+    ``count`` and is -1 elsewhere; ``deleted`` lies in that set. Returns a
+    copy with ``deleted`` at -1 and each piece split off an old component
+    under a new id from ``count`` on, the new id bound, and the work done:
+    the adjacency entries read, at most 2m.
+
+    Every piece of a component minus ``deleted`` holds a neighbour of a
+    deleted vertex, so searches start from those neighbours and take turns
+    reading one vertex each (Even & Shiloach, J. ACM 28(1), 1981); searches
+    that meet merge into one group. Once a component has at most one
+    unfinished group left, each finished group is a whole split-off piece
+    and the unfinished one keeps the old id. Each vertex is claimed by one
+    search at most, so the worst case, one deletion splitting a component
+    into two large pieces, stays O(n + m).
+    """
+    adj = g.adj
+    labels = labels.copy()
+    deleted = sorted(deleted)  # numbers the pieces deterministically
+    for x in deleted:
+        labels[x] = -1
+    owner = [-1] * g.n  # vertex -> the search that claimed it
+    parent: list[int] = []  # union-find over searches
+    live: list[int] = []  # per group root: member searches with unread vertices
+    comp: list[int] = []  # per search: the old id of its component
+    claimed: list[list[int]] = []  # per search: its vertices, read in order
+    unfinished: dict[int, int] = {}  # old id -> its unfinished groups
+    work = 0
+    for x in deleted:
+        work += len(adj[x])
+        for w in adj[x]:
+            c = labels[w]
+            if c >= 0 and owner[w] < 0:
+                owner[w] = len(parent)
+                parent.append(len(parent))
+                live.append(1)
+                comp.append(c)
+                claimed.append([w])
+                unfinished[c] = unfinished.get(c, 0) + 1
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    read = [0] * len(parent)
+    turn = [i for i, c in enumerate(comp) if unfinished[c] > 1]
+    while turn:
+        later = []
+        for i in turn:
+            c = comp[i]
+            if unfinished[c] <= 1:
+                continue
+            queue = claimed[i]
+            v = queue[read[i]]
+            read[i] += 1
+            work += len(adj[v])
+            for w in adj[v]:
+                o = owner[w]
+                if o == i:
+                    continue
+                if o < 0:
+                    if labels[w] >= 0:
+                        owner[w] = i
+                        queue.append(w)
+                    continue
+                a, b = find(i), find(o)
+                if a != b:  # two unfinished groups meet
+                    parent[b] = a
+                    live[a] += live[b]
+                    unfinished[c] -= 1
+            if read[i] < len(queue):
+                later.append(i)
+            else:
+                r = find(i)
+                live[r] -= 1
+                if not live[r]:
+                    unfinished[c] -= 1
+        turn = later
+    ids: dict[int, int] = {}
+    for i in range(len(parent)):
+        r = find(i)
+        if not live[r]:
+            if r not in ids:
+                ids[r] = count
+                count += 1
+            for v in claimed[i]:
+                labels[v] = ids[r]
+    return labels, count, work
+
+
+def reachable_mask(g, active_mask: int, source: int) -> int:
+    """Vertices reachable from ``source`` using only active vertices."""
+    if not has_bit(active_mask, source):
+        raise QueryEndpointError(f"vertex {source} is not active")
+    reach = frontier = 1 << source
     while frontier:
         grow = 0
         for v in iter_bits(frontier):
@@ -144,35 +283,6 @@ def _flood(g, active_mask: int, seed: int) -> int:
         frontier = grow & active_mask & ~reach
         reach |= frontier
     return reach
-
-
-def component_labels(g, active_mask: int) -> tuple[list[int], list[int]]:
-    """Component labeling of the subgraph induced by ``active_mask``, over
-    any object exposing ``n`` and ``neighbor_mask``.
-
-    Returns (labels, per-component vertex masks). Components are numbered by
-    their smallest vertex, so the output is deterministic; labels are -1
-    outside the active set.
-    """
-    labels = [-1] * g.n
-    masks: list[int] = []
-    remaining = active_mask
-    while remaining:
-        # the lowest unlabeled vertex seeds the next component
-        comp = _flood(g, active_mask, remaining & -remaining)
-        cid = len(masks)
-        for v in iter_bits(comp):
-            labels[v] = cid
-        masks.append(comp)
-        remaining &= ~comp
-    return labels, masks
-
-
-def reachable_mask(g, active_mask: int, source: int) -> int:
-    """Vertices reachable from ``source`` using only active vertices."""
-    if not has_bit(active_mask, source):
-        raise QueryEndpointError(f"vertex {source} is not active")
-    return _flood(g, active_mask, 1 << source)
 
 
 def parse_int(tok: str, what: str, lineno: int | None = None) -> int:

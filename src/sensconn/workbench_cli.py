@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import random
 import sys
 import time
@@ -149,12 +150,14 @@ def cmd_run(args) -> int:
         file=sys.stderr,
     )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_kv())
+        _write(args.report, report.to_kv())
     return 3 if errors else 0
 
 
 def cmd_verify(args) -> int:
+    # random mode draws graphs of 2..n_max vertices; one vertex has no pair to check
+    _require_at_least((("--trials", args.trials, 1), ("--n-max", args.n_max, 2),
+                       ("--batch-max", args.batch_max, 0)))
     cfg = verify_lib.VerifyConfig(
         n_max=args.n_max,
         trials=args.trials,
@@ -178,9 +181,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag, value in (("--repeats", args.repeats), ("--queries", args.queries)):
-        if value < 0:
-            raise ContractViolation(f"{flag} must be non-negative, got {value}")
+    _require_at_least((("--repeats", args.repeats, 0), ("--queries", args.queries, 0)))
     g, p = load_graph(_read(args.graph))
     sizes = [parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok]
     factories = args.oracle or oracle_names()
@@ -255,11 +256,21 @@ def cmd_bench(args) -> int:
     for r in rows:
         print("  ".join(str(r[h]).ljust(w) for h, w in zip(headers, widths)))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=headers)
-            writer.writeheader()
-            writer.writerows(rows)
+        table = io.StringIO()
+        writer = csv.DictWriter(table, fieldnames=headers)
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(args.out, table.getvalue())
     return 0
+
+
+def _require_at_least(checks) -> None:
+    """Raise ContractViolation for the first (flag, value, least) whose value
+    is below least."""
+    for flag, value, least in checks:
+        if value < least:
+            bound = "non-negative" if least == 0 else f"at least {least}"
+            raise ContractViolation(f"{flag} must be {bound}, got {value}")
 
 
 def _read(path: str) -> str:
@@ -268,6 +279,14 @@ def _read(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SensConnError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SensConnError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

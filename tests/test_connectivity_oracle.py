@@ -293,7 +293,8 @@ class TestSharedLabeling:
 
     def test_an_augmented_base_is_not_reused(self):
         # base -> one extra -> two extras: top's base has a base of its own,
-        # so top floods its own survivors, at build and on every push
+        # so top labels its own survivors at build and splits that labeling
+        # on every push
         for _, g, base_mask, extras, batch in self.instances(5):
             base = make_oracle("rebuild", g, base_mask)
             mid = make_oracle("rebuild", g, base_mask | 1 << extras[0], base=base)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import sensconn.connectivity_oracle as oracle_mod
-from sensconn.bits import iter_bits, mask_of
+from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     RebuildOracle,
     register_oracle,
@@ -172,9 +172,8 @@ class TestUpdate:
 
 
 class TestLabelingsPerBatch:
-    """The rebuild family labels the survivors once per structure and once
-    per update that deactivates anything; every augmented oracle shares
-    that labeling."""
+    """The rebuild family labels the survivors once per structure; an update
+    splits that labeling locally, and every augmented oracle shares it."""
 
     @pytest.fixture
     def labelings(self, monkeypatch):
@@ -207,11 +206,22 @@ class TestLabelingsPerBatch:
         s = build_fully_dynamic(g, p)
         labelings.clear()
         a = fd_update(s, down, up)
-        assert labelings == [p.on_mask & ~mask_of(down)]
+        assert labelings == []
         active = (set(iter_bits(p.on_mask)) - set(down)) | set(up)
         for u in active:
             for v in active:
                 assert fd_query(s, a, u, v) == brute_connected(g, active, u, v)
+        fd_rollback(s, a)
+
+    def test_a_deletion_near_a_path_end_reads_only_nearby_edges(self, labelings):
+        n = 20_000
+        s = build_fully_dynamic(path_graph(n), StatePartition.from_off(n, []))
+        a = fd_update(s, [5], [])
+        assert labelings == [all_bits(n)]  # the build's, none for the update
+        assert s.base.costs.t_u <= 40
+        assert fd_query(s, a, 0, 4) is True
+        assert fd_query(s, a, 4, 6) is False
+        assert fd_query(s, a, 6, n - 1) is True
         fd_rollback(s, a)
 
     @pytest.mark.parametrize("up", [[], [0], [0, 4, 8, 12]])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
+from sensconn.generators import path_graph, star_graph
 import sensconn.graph_core as graph_core
 from sensconn.graph_core import (
     Graph,
@@ -17,6 +18,7 @@ from sensconn.graph_core import (
     parse_query_text,
     parse_update_text,
     reachable_mask,
+    split_labels,
 )
 
 from reference import brute_components, brute_connected
@@ -106,6 +108,22 @@ class TestLoadGraph:
         assert dump_graph(g2, p2) == text
 
 
+def small_instances(n_max):
+    """Every graph on 1..n_max vertices with every active vertex set."""
+    for n in range(1, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edge_bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[i] for i in iter_bits(edge_bits)])
+            for active_bits in range(1 << n):
+                yield g, active_bits
+
+
+def canonical(labels):
+    """Labels renumbered by first appearance: equal iff same partition."""
+    ids = {-1: -1}
+    return [ids.setdefault(c, len(ids) - 1) for c in labels]
+
+
 class TestConnectedComponents:
     def test_path_with_middle_removed(self, p5):
         g, _ = p5
@@ -134,16 +152,12 @@ class TestConnectedComponents:
         assert labels == [0, 1, 2, 0, 3, 3]
 
     def test_exhaustive_small_graphs_match_reference(self):
-        for n in range(1, 6):
-            pairs = list(itertools.combinations(range(n), 2))
-            for edge_bits in range(1 << len(pairs)):
-                g = Graph.from_edges(n, [pairs[i] for i in iter_bits(edge_bits)])
-                for active_bits in range(1 << n):
-                    active = set(iter_bits(active_bits))
-                    labels, masks = component_labels(g, active_bits)
-                    comps = [frozenset(iter_bits(mk)) for mk in masks]
-                    assert set(comps) == set(brute_components(g, active))
-                    assert all(labels[v] == c for c, comp in enumerate(comps) for v in comp)
+        for g, active_bits in small_instances(5):
+            active = set(iter_bits(active_bits))
+            labels, masks = component_labels(g, active_bits)
+            comps = [frozenset(iter_bits(mk)) for mk in masks]
+            assert set(comps) == set(brute_components(g, active))
+            assert all(labels[v] == c for c, comp in enumerate(comps) for v in comp)
 
     @given(graphs(max_n=64), st.data())
     @settings(max_examples=80)
@@ -155,6 +169,70 @@ class TestConnectedComponents:
         for u in active:
             for v in active:
                 assert (labels[u] == labels[v]) == brute_connected(g, active, u, v)
+
+
+class TestSplitLabels:
+    """split_labels must give the partition a fresh component_labels of the
+    survivors gives, reading at most 2m adjacency entries."""
+
+    @staticmethod
+    def split(g, active_bits, deleted):
+        labels, masks = component_labels(g, active_bits)
+        got, count, work = split_labels(g, labels, len(masks), deleted)
+        fresh, _ = component_labels(g, active_bits & ~mask_of(deleted))
+        assert canonical(got) == canonical(fresh)
+        assert max(got, default=-1) < count
+        assert work <= 2 * g.m
+        return got, count, work
+
+    def test_exhaustive_small_graphs_and_deletion_sets(self):
+        for g, active_bits in small_instances(4):
+            for deleted_bits in range(1 << g.n):
+                if deleted_bits & ~active_bits == 0:
+                    self.split(g, active_bits, list(iter_bits(deleted_bits)))
+
+    @given(graphs(max_n=64), st.data())
+    @settings(max_examples=80)
+    def test_random_graphs_match_a_fresh_labeling(self, g, data):
+        active_bits = data.draw(st.integers(0, (1 << g.n) - 1))
+        active = sorted(iter_bits(active_bits))
+        deleted = data.draw(st.lists(st.sampled_from(active), unique=True) if active else st.just([]))
+        self.split(g, active_bits, deleted)
+
+    def test_star_centre_leaves_one_piece_per_leaf(self):
+        g = star_graph(9)
+        labels, count, _ = self.split(g, all_bits(9), [0])
+        assert labels[0] == -1
+        assert sorted(labels[1:]) == list(range(8))
+        assert count == 8
+
+    def test_deletions_in_two_components(self):
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+        labels, count, _ = self.split(g, all_bits(8), [1, 5])
+        assert len(set(labels) - {-1}) == 4
+        assert count == 4
+
+    def test_deleting_a_whole_component_keeps_the_others(self):
+        g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
+        labels, count, work = self.split(g, all_bits(5), [0, 1])
+        assert labels == [-1, -1, 1, 1, 1]
+        assert (count, work) == (2, 2)
+
+    def test_adjacent_deleted_vertices(self):
+        g = path_graph(7)
+        labels, count, _ = self.split(g, all_bits(7), [3, 2])
+        assert labels[:2] == [labels[0]] * 2 and labels[4:] == [labels[4]] * 3
+        assert labels[0] != labels[4] and count == 2
+
+    def test_one_cut_vertex_between_two_halves(self):
+        half = 1000
+        edges = [(i, i + 1) for i in range(half - 1)]
+        edges += [(half + i, half + i + 1) for i in range(half - 1)]
+        edges += [(2 * half, 0), (2 * half, half)]
+        g = Graph.from_edges(2 * half + 1, edges)
+        labels, count, work = self.split(g, all_bits(g.n), [2 * half])
+        assert len(set(labels[:half])) == len(set(labels[half:-1])) == 1
+        assert count == 2 and work <= 2 * g.m
 
 
 class TestReachableMask:

@@ -175,6 +175,35 @@ class TestVerifyCommand:
         assert "first counterexample" in out
 
 
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--trials", "-3", "at least 1"),
+        ("--trials", "0", "at least 1"),
+        ("--n-max", "1", "at least 2"),
+        ("--batch-max", "-1", "non-negative"),
+    ])
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_out_of_range_count_is_one_error_line(self, capsys, mode, flag, value, bound):
+        code, out, err = run_cli(capsys, "verify", "--mode", mode, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {flag} must be {bound}, got {value}"]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_unwritable_output_file_is_one_error_line(capsys, tmp_path, command):
+    target = tmp_path / "missing-dir" / "out.txt"
+    if command == "run":
+        args = ("run", "--graph", str(FIXTURES / "p5.graph"), "--update", str(FIXTURES / "p5.update"),
+                "--query", str(FIXTURES / "p5.query"), "--report", str(target))
+    else:
+        args = ("bench", "--graph", str(FIXTURES / "mixed.graph"), "--batch-sizes", "1",
+                "--out", str(target))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out  # the answers or the table came first
+    assert err.splitlines()[-1] == f"error: cannot write {target}: No such file or directory"
+
+
 class TestBenchCommand:
     @pytest.fixture
     def bench_graph(self, tmp_path):
