@@ -174,7 +174,6 @@ class TestVerifyCommand:
         assert "incremental: FAIL" in out
         assert "first counterexample" in out
 
-
     @pytest.mark.parametrize("flag, value, bound", [
         ("--trials", "-3", "at least 1"),
         ("--trials", "0", "at least 1"),
