@@ -44,7 +44,7 @@ from .graph_core import (
     load_graph,
     parse_query_text,
     parse_update_text,
-    reachable_mask,
+    reachable,
 )
 from .incremental_sensitivity import (
     IncrementalIndex,
@@ -93,6 +93,6 @@ __all__ = [
     "oracle_names",
     "parse_query_text",
     "parse_update_text",
-    "reachable_mask",
+    "reachable",
     "register_oracle",
 ]

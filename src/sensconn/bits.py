@@ -4,10 +4,20 @@ WORD_BITS = 64
 
 
 def mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+    """The mask of ``indices`` in O(len + span/8): beyond a few, they go
+    through a byte buffer, since a big-int OR per index is quadratic."""
+    vs = list(indices)
+    if len(vs) <= 8:
+        m = 0
+        for v in vs:
+            m |= 1 << v
+        return m
+    lo = min(vs)
+    buf = bytearray(((max(vs) - lo) >> 3) + 1)
+    for v in vs:
+        v -= lo
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little") << lo
 
 
 def all_bits(n):

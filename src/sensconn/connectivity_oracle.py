@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bits import all_bits, has_bit, iter_bits, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
-from .graph_core import component_labels, reachable_mask, split_labels
+from .graph_core import component_labels, reachable, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
@@ -178,8 +178,8 @@ class RebuildOracle(DecrementalOracle):
             self.costs.t_p += work
             self.costs.space_s = 1 + len(self._extras) + len(self._fresh[1])
         else:
-            labels, masks = component_labels(g, self.active)
-            self._fresh, self._count = (labels, {}), len(masks)
+            labels, self._count = component_labels(g, self.active)
+            self._fresh = labels, {}
             self.costs.t_p += g.n + 2 * g.m
             self.costs.space_s = g.n + word_count(g.n)
         self._labels, self._merge = self._fresh
@@ -262,9 +262,9 @@ class BruteForceOracle(DecrementalOracle):
         self._alive = self.active
 
     def _connected(self, u, v):
-        reach = reachable_mask(self.graph, self._alive, u)
-        self.costs.t_q += reach.bit_count()
-        return has_bit(reach, v)
+        reach = reachable(self.graph, self._alive, u)
+        self.costs.t_q += len(reach)
+        return v in reach
 
 
 class BruteForceReference:
@@ -275,15 +275,10 @@ class BruteForceReference:
         self.graph = graph
         self.active_mask = active_mask
 
-    def is_active(self, v: int) -> bool:
-        return 0 <= v < self.graph.n and has_bit(self.active_mask, v)
-
-    def reachable(self, u: int) -> int:
-        if not self.is_active(u):
-            raise QueryEndpointError(f"vertex {u} is not active")
-        return reachable_mask(self.graph, self.active_mask, u)
+    def reachable(self, u: int) -> set[int]:
+        return reachable(self.graph, self.active_mask, u)
 
     def connected(self, u: int, v: int) -> bool:
-        if not self.is_active(v):
+        if not (0 <= v < self.graph.n and has_bit(self.active_mask, v)):
             raise QueryEndpointError(f"vertex {v} is not active")
-        return has_bit(self.reachable(u), v)
+        return v in self.reachable(u)

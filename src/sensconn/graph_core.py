@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .bits import all_bits, has_bit, iter_bits, mask_of
+from .bits import all_bits, mask_of
 from .errors import ContractViolation, ParseError, QueryEndpointError
 
 # Largest vertex count load_graph accepts; it allocates per vertex before
-# reading any edge, and every mask and labeling is O(n) per operation.
+# reading any edge. A graph, a labeling and a search each take O(n + m) words.
 MAX_VERTICES = 1_000_000
 
 
@@ -33,14 +33,13 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Adjacency is normalized at construction: symmetric, sorted, no self
-    loops, no parallel edges. ``adj_masks[v]`` is the neighbor set of v
-    packed into an int bitmask.
+    loops, no parallel edges. ``adj[v]`` is the only copy of v's neighbour
+    set, so a graph takes O(n + m) memory.
     """
 
     n: int
     m: int
     adj: tuple[tuple[int, ...], ...]
-    adj_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -55,15 +54,8 @@ class Graph:
             nbr[u].add(v)
             nbr[v].add(u)
         adj = tuple(tuple(sorted(s)) for s in nbr)
-        masks = tuple(mask_of(s) for s in nbr)
         m = sum(len(s) for s in nbr) // 2
-        return cls(n=n, m=m, adj=adj, adj_masks=masks)
-
-    def neighbor_mask(self, v: int) -> int:
-        return self.adj_masks[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return has_bit(self.adj_masks[u], v)
+        return cls(n=n, m=m, adj=adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -105,7 +97,7 @@ class StatePartition:
         )
 
     def is_on(self, v: int) -> bool:
-        return has_bit(self.on_mask, v)
+        return 0 <= v < self.n and v not in self.off_index
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ class UpdateBatch:
         if overlap:
             raise ContractViolation(f"vertices {sorted(overlap)} appear on both sides of the batch")
         for v in down:
-            if not (0 <= v < p.n and p.is_on(v)):
+            if not p.is_on(v):
                 raise ContractViolation(f"cannot deactivate {v}: not an active vertex")
         for v in up:
             if not (0 <= v < p.n) or p.is_on(v):
@@ -135,45 +127,35 @@ class UpdateBatch:
         return cls(down, up)
 
 
-def _span_mask(vs: list[int]) -> int:
-    """``mask_of(vs)`` in O(len(vs) + span/8): one byte buffer over the
-    span of ``vs`` instead of a growing big-int OR per member."""
-    if len(vs) == 1:
-        return 1 << vs[0]
-    lo = min(vs)
-    buf = bytearray(((max(vs) - lo) >> 3) + 1)
-    for v in vs:
-        v -= lo
-        buf[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(buf, "little") << lo
+def _active_flags(n: int, active_mask: int) -> str:
+    """Character v is "1" iff v is active; bin() writes the highest bit first."""
+    return bin(active_mask)[:1:-1].ljust(n, "0")
 
 
-def component_labels(g, active_mask: int) -> tuple[list[int], list[int]]:
+def component_labels(g, active_mask: int) -> tuple[list[int], int]:
     """Component labeling of the subgraph induced by ``active_mask``, over
     any object exposing ``n`` and ``adj``, in time linear in n + m.
 
-    Returns (labels, per-component vertex masks). Components are numbered by
-    their smallest vertex, so the output is deterministic; labels are -1
-    outside the active set.
+    Returns (labels, component count). Components are numbered by their
+    smallest vertex, so the output is deterministic; labels are -1 outside
+    the active set.
     """
     n, adj = g.n, g.adj
     labels = [-1] * n
-    masks: list[int] = []
-    # on[v] == "1" iff v is active; bin() writes the highest bit first
-    on = bin(active_mask)[:1:-1].ljust(n, "0")
+    count = 0
+    on = _active_flags(n, active_mask)
     for s in range(n):
         if on[s] != "1" or labels[s] >= 0:
             continue
-        cid = len(masks)
-        labels[s] = cid
+        labels[s] = count
         comp = [s]
         for v in comp:  # comp grows while it is read: a breadth-first search
             for w in adj[v]:
                 if labels[w] < 0 and on[w] == "1":
-                    labels[w] = cid
+                    labels[w] = count
                     comp.append(w)
-        masks.append(_span_mask(comp))
-    return labels, masks
+        count += 1
+    return labels, count
 
 
 def split_labels(g, labels: list[int], count: int, deleted) -> tuple[list[int], int, int]:
@@ -271,17 +253,21 @@ def split_labels(g, labels: list[int], count: int, deleted) -> tuple[list[int], 
     return labels, count, work
 
 
-def reachable_mask(g, active_mask: int, source: int) -> int:
-    """Vertices reachable from ``source`` using only active vertices."""
-    if not has_bit(active_mask, source):
+def reachable(g, active_mask: int, source: int) -> set[int]:
+    """The vertices reachable from ``source`` using only active vertices, by
+    a depth-first search of its own over ``adj``: the reference calls neither
+    ``component_labels`` nor ``split_labels``, which it is used to check."""
+    n, adj = g.n, g.adj
+    on = _active_flags(n, active_mask)
+    if not (0 <= source < n and on[source] == "1"):
         raise QueryEndpointError(f"vertex {source} is not active")
-    reach = frontier = 1 << source
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= g.neighbor_mask(v)
-        frontier = grow & active_mask & ~reach
-        reach |= frontier
+    reach = {source}
+    stack = [source]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reach and on[w] == "1":
+                reach.add(w)
+                stack.append(w)
     return reach
 
 

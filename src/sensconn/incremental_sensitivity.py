@@ -59,9 +59,9 @@ def build_incremental(g: Graph, p: StatePartition) -> IncrementalIndex:
     vertices, with each vertex's own bit cleared. ``build_or_words`` counts
     the word-level OR work exactly.
     """
-    labels, masks = component_labels(g, p.on_mask)
+    labels, count = component_labels(g, p.on_mask)
     n_off = p.n_off
-    comp_adj = [0] * len(masks)
+    comp_adj = [0] * count
     touch = [0] * n_off
     probes = 0
     for j, u in enumerate(p.off_vertices):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bits import has_bit, iter_bits, mask_of
+from .bits import iter_bits, mask_of
 from .connectivity_oracle import BruteForceReference, make_oracle
 from .errors import ContractViolation
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query_probed, fd_rollback, fd_update
@@ -102,7 +102,7 @@ def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
                 continue
             got, calls = fd_query_probed(s, a, u, v)
             suites["fully_dynamic"].checked += 1
-            expected = has_bit(reach, v)
+            expected = v in reach
             if got != expected:
                 suites["fully_dynamic"].fail(
                     f"{ctx()}: query ({u},{v}) expected {expected}, got {got}"
@@ -133,7 +133,7 @@ def _check_incremental(g, p, idx, up, suites, ctx) -> None:
                 continue
             got, probes = incremental_query_probed(idx, sg, u, v)
             suites["incremental"].checked += 1
-            expected = has_bit(reach, v)
+            expected = v in reach
             if got != expected:
                 suites["incremental"].fail(
                     f"{ctx()}: query ({u},{v}) expected {expected}, got {got}"
@@ -154,22 +154,22 @@ def connected_via_component(g, labels, u: int, v: int) -> bool:
     for x in (u, v):
         if labels[x] != -1:
             raise ContractViolation(f"vertex {x} is active in the labeling")
-    if g.has_edge(u, v):
+    if v in g.adj[u]:
         return True
     comps_u = {labels[w] for w in g.adj[u]} - {-1}
     return any(labels[w] in comps_u for w in g.adj[v])
 
 
-def connected_by_set(g, labels, masks, activated, cu: int, cv: int) -> bool:
+def connected_by_set(g, labels, count, activated, cu: int, cv: int) -> bool:
     """True when components cu and cv of the ``component_labels`` result
-    (labels, masks) are linked by a chain of vertices from ``activated``,
+    (labels, count) are linked by a chain of vertices from ``activated``,
     consecutive ones connected via a component or direct edge.
 
     Reachability runs over the implicit graph on ``activated`` whose edges
     are probed lazily with connected_via_component.
     """
     for c in (cu, cv):
-        if not 0 <= c < len(masks):
+        if not 0 <= c < count:
             raise ContractViolation(f"unknown component id {c}")
     if cu == cv:
         raise ContractViolation("component ids must differ")
@@ -177,13 +177,11 @@ def connected_by_set(g, labels, masks, activated, cu: int, cv: int) -> bool:
     for x in nodes:
         if labels[x] != -1:
             raise ContractViolation(f"vertex {x} is active in the labeling")
-    source_mask = masks[cu]
-    target_mask = masks[cv]
-    pending = [x for x in nodes if g.neighbor_mask(x) & source_mask]
+    pending = [x for x in nodes if any(labels[w] == cu for w in g.adj[x])]
     seen = set(pending)
     while pending:
         x = pending.pop()
-        if g.neighbor_mask(x) & target_mask:
+        if any(labels[w] == cv for w in g.adj[x]):
             return True
         for y in nodes:
             if y not in seen and connected_via_component(g, labels, x, y):
@@ -196,17 +194,17 @@ def _check_lemma(g, p, down, up, suites, ctx) -> None:
     """The path characterization: two surviving components are joined after
     activating the batch iff they are linked by a chain through it."""
     survivors = p.on_mask & ~mask_of(down)
-    labels, masks = component_labels(g, survivors)
-    if len(masks) < 2:
+    labels, count = component_labels(g, survivors)
+    if count < 2:
         return
     ref = BruteForceReference(g, survivors | mask_of(up))
     batch = sorted(set(up))
-    for cu, mask_u in enumerate(masks):
-        reach = ref.reachable(next(iter_bits(mask_u)))
-        for cv in range(cu + 1, len(masks)):
-            v = next(iter_bits(masks[cv]))
-            got = connected_by_set(g, labels, masks, batch, cu, cv)
-            expected = has_bit(reach, v)
+    first = [labels.index(c) for c in range(count)]  # each component's smallest vertex
+    for cu in range(count):
+        reach = ref.reachable(first[cu])
+        for cv in range(cu + 1, count):
+            got = connected_by_set(g, labels, count, batch, cu, cv)
+            expected = first[cv] in reach
             suites["lemma_on_paths"].checked += 1
             if got != expected:
                 suites["lemma_on_paths"].fail(
@@ -292,7 +290,7 @@ def oracle_conformance_suite(
                         continue
                     got = o.query(u, v)
                     suite.checked += 1
-                    if got != has_bit(reach, v):
+                    if got != (v in reach):
                         suite.fail(
                             f"trial {trial} ({phase}): query ({u},{v}) disagrees with "
                             f"reference\n{dump_graph(g, part)}deleted={sorted(o.deleted)}"

@@ -27,6 +27,7 @@ from .incremental_sensitivity import build_incremental, incremental_query_probed
 from . import verify as verify_lib
 
 ALGORITHMS = ("inc", "fd", "bf")
+EXHAUSTIVE_N_MAX = 6  # exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions
 
 
 @dataclass
@@ -158,6 +159,12 @@ def cmd_verify(args) -> int:
     # random mode draws graphs of 2..n_max vertices; one vertex has no pair to check
     _require_at_least((("--trials", args.trials, 1), ("--n-max", args.n_max, 2),
                        ("--batch-max", args.batch_max, 0)))
+    if args.mode == "exhaustive" and args.n_max > EXHAUSTIVE_N_MAX:
+        raise ContractViolation(
+            f"--n-max must be at most {EXHAUSTIVE_N_MAX} in exhaustive mode, got {args.n_max}")
+    for prob in args.edge_prob or ():
+        if not 0 <= prob <= 1:  # also false for nan
+            raise ContractViolation(f"--edge-prob must lie in [0, 1], got {prob}")
     cfg = verify_lib.VerifyConfig(
         n_max=args.n_max,
         trials=args.trials,
@@ -306,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the equivalence suites")
     ver.add_argument("--mode", choices=("exhaustive", "random"), default="random")
     ver.add_argument("--n-max", type=int, default=None,
-                     help="exhaustive: exact vertex count (default 5); random: largest n (default 40)")
+                     help=f"exhaustive: exact vertex count (default 5, at most {EXHAUSTIVE_N_MAX}); "
+                          "random: largest n (default 40)")
     ver.add_argument("--trials", type=int, default=1000)
-    ver.add_argument("--edge-prob", type=float, action="append")
+    ver.add_argument("--edge-prob", type=float, action="append",
+                     help="random: edge probability in [0, 1], repeatable (default 0.1, 0.3, 0.6)")
     ver.add_argument("--batch-max", type=int, default=None,
                      help="largest batch (default 3 exhaustive, 6 random)")
     ver.add_argument("--seed", type=int, default=42)

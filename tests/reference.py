@@ -1,7 +1,7 @@
 """Test-side reachability oracle, kept independent of the package internals.
 
 Deliberately written over plain adjacency lists with dict/set bookkeeping so
-it shares no code path with the bitmask floods it is used to check.
+it shares no code path with the package searches it is used to check.
 """
 
 from collections import deque

@@ -374,49 +374,50 @@ class TestConnectedViaComponent:
 class TestConnectedBySet:
     def test_single_bridging_vertex(self, p5):
         g, p = p5
-        labels, masks = component_labels(g, p.on_mask)
-        assert connected_by_set(g, labels, masks, [2], 0, 1) is True
+        labels, count = component_labels(g, p.on_mask)
+        assert connected_by_set(g, labels, count, [2], 0, 1) is True
 
     def test_empty_set_bridges_nothing(self, p5):
         g, p = p5
-        labels, masks = component_labels(g, p.on_mask)
-        assert connected_by_set(g, labels, masks, [], 0, 1) is False
+        labels, count = component_labels(g, p.on_mask)
+        assert connected_by_set(g, labels, count, [], 0, 1) is False
 
     def test_chain_through_third_component(self):
         g, p = chain_fixture()
         assert brute_connected(g, {0, 1, 2, 3, 4}, 0, 1)
         assert not brute_connected(g, {0, 1, 2, 3}, 0, 1)
-        labels, masks = component_labels(g, p.on_mask)
+        labels, count = component_labels(g, p.on_mask)
         cu, cv = labels[0], labels[1]
-        assert connected_by_set(g, labels, masks, [3, 4], cu, cv) is True
-        assert connected_by_set(g, labels, masks, [3], cu, cv) is False
+        assert connected_by_set(g, labels, count, [3, 4], cu, cv) is True
+        assert connected_by_set(g, labels, count, [3], cu, cv) is False
 
     def test_unknown_component_rejected(self, p5):
         g, p = p5
-        labels, masks = component_labels(g, p.on_mask)
-        with pytest.raises(ContractViolation):
-            connected_by_set(g, labels, masks, [2], 0, 99)
+        labels, count = component_labels(g, p.on_mask)
+        for bad in (-1, count, 99):
+            with pytest.raises(ContractViolation):
+                connected_by_set(g, labels, count, [2], 0, bad)
 
     def test_active_vertex_in_set_rejected(self, p5):
         g, p = p5
-        labels, masks = component_labels(g, p.on_mask)
+        labels, count = component_labels(g, p.on_mask)
         with pytest.raises(ContractViolation):
-            connected_by_set(g, labels, masks, [0], 0, 1)
+            connected_by_set(g, labels, count, [0], 0, 1)
 
     @given(graphs(min_n=2, max_n=10), st.data())
     @settings(max_examples=120)
     def test_equals_post_activation_reachability(self, g, data):
         off = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
         p = StatePartition.from_off(g.n, off)
-        labels, masks = component_labels(g, p.on_mask)
-        if len(masks) < 2:
+        labels, count = component_labels(g, p.on_mask)
+        if count < 2:
             return
         batch = data.draw(st.lists(st.sampled_from(sorted(off)), unique=True)) if off else []
         active_after = set(iter_bits(p.on_mask)) | set(batch)
-        for cu in range(len(masks)):
-            for cv in range(cu + 1, len(masks)):
+        for cu in range(count):
+            for cv in range(cu + 1, count):
                 u, v = labels.index(cu), labels.index(cv)
-                assert connected_by_set(g, labels, masks, batch, cu, cv) == brute_connected(
+                assert connected_by_set(g, labels, count, batch, cu, cv) == brute_connected(
                     g, active_after, u, v
                 )
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -458,3 +459,24 @@ class TestDoubling:
         a = fd_update(s, [0], [2])
         assert fd_query(s, a, 1, 3) is True
         fd_rollback(s, a)
+
+
+class TestMemory:
+    def test_path_cycle_peak_is_linear_in_n(self):
+        """A long path taken through build, update, query and rollback peaks
+        within a fixed number of bytes per vertex: no part of the graph or of
+        the oracles may hold a vertex set as wide as the graph per vertex."""
+        n = 50_000
+        tracemalloc.start()
+        try:
+            g = path_graph(n)
+            p = StatePartition.from_off(n, [10, n // 2, n - 10])
+            s = build_fully_dynamic(g, p)
+            a = fd_update(s, [n // 4], [n // 2, n - 10])
+            answers = [fd_query(s, a, u, v) for u, v in ((0, 9), (0, 11), (11, n - 1), (n // 4 + 1, n - 1))]
+            fd_rollback(s, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answers == [True, False, False, True]
+        assert peak <= 1_000 * n, f"peak {peak / n:.0f} B/vertex"

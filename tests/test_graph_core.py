@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import itertools
+import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
@@ -11,13 +13,14 @@ from sensconn.generators import path_graph, star_graph
 import sensconn.graph_core as graph_core
 from sensconn.graph_core import (
     Graph,
+    StatePartition,
     UpdateBatch,
     component_labels,
     dump_graph,
     load_graph,
     parse_query_text,
     parse_update_text,
-    reachable_mask,
+    reachable,
     split_labels,
 )
 
@@ -127,37 +130,31 @@ def canonical(labels):
 class TestConnectedComponents:
     def test_path_with_middle_removed(self, p5):
         g, _ = p5
-        labels, masks = component_labels(g, mask_of([0, 1, 3, 4]))
-        assert masks == [mask_of([0, 1]), mask_of([3, 4])]
-        assert labels == [0, 0, -1, 1, 1]
+        assert component_labels(g, mask_of([0, 1, 3, 4])) == ([0, 0, -1, 1, 1], 2)
 
     def test_full_path_is_one_component(self, p5):
         g, _ = p5
-        assert component_labels(g, all_bits(5)) == ([0] * 5, [all_bits(5)])
+        assert component_labels(g, all_bits(5)) == ([0] * 5, 1)
 
     def test_star_with_center_off(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        labels, masks = component_labels(g, mask_of([1, 2, 3]))
-        assert masks == [mask_of([1]), mask_of([2]), mask_of([3])]
-        assert labels == [-1, 0, 1, 2]
+        assert component_labels(g, mask_of([1, 2, 3])) == ([-1, 0, 1, 2], 3)
 
     def test_empty_active_set(self, p5):
         g, _ = p5
-        assert component_labels(g, 0) == ([-1] * 5, [])
+        assert component_labels(g, 0) == ([-1] * 5, 0)
 
     def test_numbering_follows_smallest_member(self):
         g = Graph.from_edges(6, [(4, 5), (0, 3)])
-        labels, masks = component_labels(g, all_bits(6))
-        assert masks == [mask_of([0, 3]), mask_of([1]), mask_of([2]), mask_of([4, 5])]
-        assert labels == [0, 1, 2, 0, 3, 3]
+        assert component_labels(g, all_bits(6)) == ([0, 1, 2, 0, 3, 3], 4)
 
     def test_exhaustive_small_graphs_match_reference(self):
         for g, active_bits in small_instances(5):
             active = set(iter_bits(active_bits))
-            labels, masks = component_labels(g, active_bits)
-            comps = [frozenset(iter_bits(mk)) for mk in masks]
-            assert set(comps) == set(brute_components(g, active))
-            assert all(labels[v] == c for c, comp in enumerate(comps) for v in comp)
+            labels, count = component_labels(g, active_bits)
+            comps = [frozenset(v for v in range(g.n) if labels[v] == c) for c in range(count)]
+            assert comps == brute_components(g, active)
+            assert all((labels[v] == -1) == (v not in active) for v in range(g.n))
 
     @given(graphs(max_n=64), st.data())
     @settings(max_examples=80)
@@ -177,8 +174,8 @@ class TestSplitLabels:
 
     @staticmethod
     def split(g, active_bits, deleted):
-        labels, masks = component_labels(g, active_bits)
-        got, count, work = split_labels(g, labels, len(masks), deleted)
+        labels, count = component_labels(g, active_bits)
+        got, count, work = split_labels(g, labels, count, deleted)
         fresh, _ = component_labels(g, active_bits & ~mask_of(deleted))
         assert canonical(got) == canonical(fresh)
         assert max(got, default=-1) < count
@@ -239,12 +236,18 @@ class TestReachableMask:
     def test_inactive_source_rejected(self, p5):
         g, _ = p5
         with pytest.raises(QueryEndpointError):
-            reachable_mask(g, mask_of([0, 1]), 3)
+            reachable(g, mask_of([0, 1]), 3)
+
+    @pytest.mark.parametrize("source", [-1, 5])
+    def test_source_outside_the_graph_rejected(self, p5, source):
+        g, _ = p5
+        with pytest.raises(QueryEndpointError):
+            reachable(g, all_bits(5), source)
 
     def test_matches_reference(self, p5):
         g, _ = p5
         active = {0, 1, 3, 4}
-        assert set(iter_bits(reachable_mask(g, mask_of(active), 0))) == {0, 1}
+        assert reachable(g, mask_of(active), 0) == {0, 1}
 
 
 class TestUpdateAndQueryFiles:
@@ -282,6 +285,27 @@ class TestUpdateAndQueryFiles:
             parse_query_text("0 4\n1\n")
 
 
+class TestStatePartition:
+    def test_is_on_is_false_outside_the_graph(self, mixed):
+        _, p = mixed
+        assert [p.is_on(v) for v in (-1, 0, 5, 6, 10**9)] == [False, True, False, False, False]
+
+    def test_is_on_agrees_with_on_mask(self):
+        p = StatePartition.from_off(70, [0, 3, 64, 69])
+        assert [v for v in range(70) if p.is_on(v)] == list(iter_bits(p.on_mask))
+
+
+class TestMaskOf:
+    @given(st.lists(st.integers(0, 300)))
+    @example([])
+    @example([9, 2, 9, 0, 64])
+    @example([300, 7, 7, 150, 8, 0, 299, 64, 63, 1, 150])
+    def test_equals_the_or_of_its_bits(self, indices):
+        expected = functools.reduce(operator.or_, (1 << i for i in indices), 0)
+        assert mask_of(indices) == expected
+        assert mask_of(iter(indices)) == expected
+
+
 class TestUpdateBatch:
     def test_valid_batch(self, mixed):
         _, p = mixed
@@ -297,6 +321,14 @@ class TestUpdateBatch:
         _, p = mixed
         with pytest.raises(ContractViolation):
             UpdateBatch.for_partition(p, [], [1])
+
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_vertex_outside_the_graph_rejected(self, mixed, v):
+        _, p = mixed
+        with pytest.raises(ContractViolation, match="not an active"):
+            UpdateBatch.for_partition(p, [v], [])
+        with pytest.raises(ContractViolation, match="not an inactive"):
+            UpdateBatch.for_partition(p, [], [v])
 
 
 class TestImmutability:

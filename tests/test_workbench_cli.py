@@ -5,7 +5,7 @@ import pytest
 from sensconn.connectivity_oracle import RebuildOracle, oracle_names, register_oracle
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
-from sensconn.workbench_cli import main
+from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, main
 
 from conftest import FIXTURES
 
@@ -186,6 +186,32 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"error: {flag} must be {bound}, got {value}"]
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+    def test_edge_prob_outside_the_unit_interval_is_one_error_line(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--mode", "random", "--trials", "2",
+                                 "--edge-prob", "0.3", "--edge-prob", value)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: --edge-prob must lie in [0, 1], got {float(value)}"]
+
+    def test_exhaustive_n_max_above_the_cap_is_one_error_line(self, capsys, monkeypatch):
+        import sensconn.verify as verify_mod
+
+        def enumerated(n):
+            raise AssertionError("a graph was enumerated")
+
+        monkeypatch.setattr(verify_mod, "iter_all_graphs", enumerated)
+        too_big = EXHAUSTIVE_N_MAX + 1
+        code, out, err = run_cli(capsys, "verify", "--mode", "exhaustive", "--n-max", str(too_big))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --n-max must be at most {EXHAUSTIVE_N_MAX} in exhaustive mode, got {too_big}"
+        ]
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert f"at most {EXHAUSTIVE_N_MAX}" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
