@@ -4,14 +4,11 @@ WORD_BITS = 64
 
 
 def mask_of(indices):
-    """The mask of ``indices`` in O(len + span/8): beyond a few, they go
-    through a byte buffer, since a big-int OR per index is quadratic."""
+    """The mask of ``indices`` in O(len + span/8), through one byte buffer,
+    since a big-int OR per index is quadratic."""
     vs = list(indices)
-    if len(vs) <= 8:
-        m = 0
-        for v in vs:
-            m |= 1 << v
-        return m
+    if not vs:
+        return 0
     lo = min(vs)
     buf = bytearray(((max(vs) - lo) >> 3) + 1)
     for v in vs:
