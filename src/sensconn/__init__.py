@@ -32,7 +32,6 @@ from .fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
     fd_query,
-    fd_query_probed,
     fd_rollback,
     fd_update,
 )
@@ -51,7 +50,6 @@ from .incremental_sensitivity import (
     SuperGraph,
     build_incremental,
     incremental_query,
-    incremental_query_probed,
     incremental_update,
 )
 
@@ -82,11 +80,9 @@ __all__ = [
     "build_incremental",
     "dump_graph",
     "fd_query",
-    "fd_query_probed",
     "fd_rollback",
     "fd_update",
     "incremental_query",
-    "incremental_query_probed",
     "incremental_update",
     "load_graph",
     "make_oracle",

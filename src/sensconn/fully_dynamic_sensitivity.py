@@ -5,7 +5,8 @@ every one- and two-vertex augmentation of it; each is the input graph
 restricted to its own active vertex mask, so every oracle speaks the original
 vertex ids. An update pushes the deactivations into the oracles it will
 actually consult, then builds the bridge graph over the activated vertices
-from pair-oracle queries. A query needs at most 1 + 2d oracle queries.
+from pair-oracle queries. A query needs at most 1 + 2d oracle queries and
+counts them on that bridge graph.
 
 Every augmented oracle gets the base oracle as its ``base``; with the
 ``rebuild`` factory the whole family then shares one survivor labeling, made
@@ -31,7 +32,8 @@ class FullyDynamicStructure:
     """Oracle family for one graph and partition.
 
     Single-threaded: every call needs exclusive access, fd_query included,
-    because each oracle query adds to that oracle's ``costs.t_q``.
+    because each oracle query adds to that oracle's ``costs.t_q`` and each
+    fd_query adds its oracle queries to the batch's ``supergraph.query_probes``.
     """
 
     graph: Graph
@@ -50,14 +52,17 @@ class FullyDynamicStructure:
 
 @dataclass
 class ActiveUpdate:
-    """Live state of one processed batch, held until rollback."""
+    """Live state of one processed batch, held until rollback.
+
+    The update pushed the deletions into each oracle of ``touched`` once, and
+    ``supergraph`` counts its pair queries (``build_probes``) and the oracle
+    queries of fd_query against it (``query_probes``).
+    """
 
     deactivated: frozenset[int]
     activated: frozenset[int]
     supergraph: SuperGraph
     touched: tuple[DecrementalOracle, ...]
-    delete_calls: int
-    pair_queries: int
 
 
 def build_fully_dynamic(
@@ -93,14 +98,14 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
     """Process one batch: push deletions into the touched oracles, then build
     the bridge graph over the activated vertices from pair-oracle queries.
 
-    Oracle-call accounting: delete calls = 1 + |I| + C(|I|, 2) and pair
-    queries = C(|I|, 2) where I is the activation set. The base oracle is
-    pushed first, so with ``rebuild`` the family shares the base's labeling,
-    split locally around the deactivated vertices. A batch larger
-    than the capacity the oracles were built for raises CapacityError before
-    any oracle is touched. If any later step raises, the batch's oracles are
-    reset before the exception propagates, so the structure stays ready for
-    the next update.
+    Oracle-call accounting: len(touched) = 1 + |I| + C(|I|, 2) delete calls
+    and supergraph.build_probes = C(|I|, 2) pair queries, where I is the
+    activation set. The base oracle is pushed first, so with ``rebuild`` the
+    family shares the base's labeling, split locally around the deactivated
+    vertices. A batch larger than the capacity the oracles were built for
+    raises CapacityError before any oracle is touched. If any later step
+    raises, the batch's oracles are reset before the exception propagates, so
+    the structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
@@ -125,15 +130,16 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
         activated=batch.activate,
         supergraph=sg,
         touched=tuple(oracles),
-        delete_calls=len(oracles),
-        pair_queries=sg.build_probes,
     )
     s.session = session
     return session
 
 
-def fd_query_probed(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -> tuple[bool, int]:
-    """Like fd_query but also returns the number of oracle queries made."""
+def fd_query(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -> bool:
+    """True iff u and v are connected after the batch behind ``a``.
+
+    Adds the oracle queries it makes to ``a.supergraph.query_probes``.
+    """
     if s.session is not a:
         raise ContractViolation("stale update handle")
     p = s.partition
@@ -146,16 +152,17 @@ def fd_query_probed(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -
         if not p.is_on(x) and x not in sg.node_index:
             raise QueryEndpointError(f"vertex {x} is inactive")
     if u == v:
-        return True, 0
+        return True
     u_new = not p.is_on(u)
     v_new = not p.is_on(v)
     if u_new and v_new:
-        return sg.component_of(u) == sg.component_of(v), 0
+        return sg.component_of(u) == sg.component_of(v)
     calls = 0
     if not u_new and not v_new:
         calls += 1
         if s.base.query(u, v):
-            return True, calls
+            sg.query_probes += calls
+            return True
         for comp in sg.components:
             hit_u = hit_v = False
             for w in comp:
@@ -167,8 +174,10 @@ def fd_query_probed(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -
                     calls += 1
                     hit_v = o.query(w, v)
                 if hit_u and hit_v:
-                    return True, calls
-        return False, calls
+                    sg.query_probes += calls
+                    return True
+        sg.query_probes += calls
+        return False
     # one endpoint was just activated: its batch component must reach the
     # other endpoint through some member's augmented graph
     if v_new:
@@ -176,14 +185,10 @@ def fd_query_probed(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -
     for w in sg.components[sg.component_of(u)]:
         calls += 1
         if s.single[w].query(w, v):
-            return True, calls
-    return False, calls
-
-
-def fd_query(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -> bool:
-    """True iff u and v are connected after the batch behind ``a``."""
-    connected, _ = fd_query_probed(s, a, u, v)
-    return connected
+            sg.query_probes += calls
+            return True
+    sg.query_probes += calls
+    return False
 
 
 def fd_rollback(s: FullyDynamicStructure, a: ActiveUpdate) -> None:

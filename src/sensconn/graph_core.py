@@ -129,6 +129,8 @@ class UpdateBatch:
 
 def _active_flags(n: int, active_mask: int) -> str:
     """Character v is "1" iff v is active; bin() writes the highest bit first."""
+    if active_mask < 0:
+        raise ContractViolation(f"active mask must be non-negative, got {active_mask}")
     return bin(active_mask)[:1:-1].ljust(n, "0")
 
 

@@ -5,10 +5,12 @@ families: per component, which inactive vertices touch it; per inactive
 vertex, which other inactive vertices it can reach through a single shared
 component or a direct edge. An update of batch size d then builds a bridge
 graph over the batch with one bit probe per pair, and a query needs at most
-2d probes.
+2d probes. The bridge graph (SuperGraph) counts both.
 
 The index is never mutated by updates, so rollback is simply dropping the
-SuperGraph a session produced.
+SuperGraph a session produced. Queries write only their SuperGraph's
+``query_probes``: concurrent queries on one SuperGraph answer correctly but
+may under-count.
 """
 
 from __future__ import annotations
@@ -93,13 +95,19 @@ def build_incremental(g: Graph, p: StatePartition) -> IncrementalIndex:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class SuperGraph:
-    """Bridge graph over one activation batch.
+    """Bridge graph over one activation batch, and the batch's probe counts.
 
     Nodes are the activated vertices; an edge means the two endpoints are
     joined through a single surviving component or by a direct edge.
     Components are numbered by smallest member.
+
+    ``build_probes`` counts the pair probes that built it. ``query_probes``
+    counts the primitive probes of the queries answered against it so far:
+    bit probes for the activation-only engine, oracle queries for the fully
+    dynamic one. Each query adds the probes it made, and one that raises adds
+    nothing, so the count of one query is the difference before and after it.
     """
 
     nodes: tuple[int, ...]
@@ -108,6 +116,7 @@ class SuperGraph:
     components: tuple[tuple[int, ...], ...]
     build_probes: int
     node_index: Mapping[int, int] = field(compare=False, repr=False)
+    query_probes: int = field(default=0, compare=False)
 
     @property
     def k(self) -> int:
@@ -166,8 +175,11 @@ def incremental_update(idx: IncrementalIndex, activate) -> SuperGraph:
     return build_supergraph(batch.activate, adjacent)
 
 
-def incremental_query_probed(idx: IncrementalIndex, sg: SuperGraph, u: int, v: int) -> tuple[bool, int]:
-    """Like incremental_query but also returns the number of bit probes."""
+def incremental_query(idx: IncrementalIndex, sg: SuperGraph, u: int, v: int) -> bool:
+    """True iff u and v are connected once the batch behind sg is active.
+
+    Adds the bit probes it makes to ``sg.query_probes``.
+    """
     p = idx.partition
     for x in (u, v):
         if not 0 <= x < p.n:
@@ -175,17 +187,17 @@ def incremental_query_probed(idx: IncrementalIndex, sg: SuperGraph, u: int, v: i
         if not p.is_on(x) and x not in sg.node_index:
             raise QueryEndpointError(f"vertex {x} is inactive after the update")
     if u == v:
-        return True, 0
+        return True
     labels = idx.labels
     u_new = not p.is_on(u)
     v_new = not p.is_on(v)
     if u_new and v_new:
-        return sg.component_of(u) == sg.component_of(v), 0
+        return sg.component_of(u) == sg.component_of(v)
     probes = 0
     if not u_new and not v_new:
         cu, cv = labels[u], labels[v]
         if cu == cv:
-            return True, 0
+            return True
         mask_u, mask_v = idx.comp_adj[cu], idx.comp_adj[cv]
         for comp in sg.components:
             hit_u = hit_v = False
@@ -198,8 +210,10 @@ def incremental_query_probed(idx: IncrementalIndex, sg: SuperGraph, u: int, v: i
                     probes += 1
                     hit_v = has_bit(mask_v, j)
                 if hit_u and hit_v:
-                    return True, probes
-        return False, probes
+                    sg.query_probes += probes
+                    return True
+        sg.query_probes += probes
+        return False
     # one endpoint was just activated: its batch component must touch the
     # other endpoint's original component
     if v_new:
@@ -208,11 +222,7 @@ def incremental_query_probed(idx: IncrementalIndex, sg: SuperGraph, u: int, v: i
     for w in sg.components[sg.component_of(u)]:
         probes += 1
         if has_bit(mask_v, p.off_index[w]):
-            return True, probes
-    return False, probes
-
-
-def incremental_query(idx: IncrementalIndex, sg: SuperGraph, u: int, v: int) -> bool:
-    """True iff u and v are connected once the batch behind sg is active."""
-    connected, _ = incremental_query_probed(idx, sg, u, v)
-    return connected
+            sg.query_probes += probes
+            return True
+    sg.query_probes += probes
+    return False

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .bits import iter_bits, mask_of
 from .connectivity_oracle import BruteForceReference, make_oracle
 from .errors import ContractViolation
-from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query_probed, fd_rollback, fd_update
+from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from .generators import gnp_graph
 from .graph_core import Graph, StatePartition, component_labels, dump_graph
-from .incremental_sensitivity import build_incremental, incremental_query_probed, incremental_update
+from .incremental_sensitivity import build_incremental, incremental_query, incremental_update
 
 SUITE_NAMES = ("fully_dynamic", "incremental", "lemma_on_paths", "counters")
 
@@ -82,36 +83,42 @@ def _instance_text(g, p, down, up) -> str:
     return f"graph file:\n{dump_graph(g, p)}deactivate={sorted(down)} activate={sorted(up)}"
 
 
-def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
-    a = fd_update(s, down, up)
-    k = len(set(up))
-    expected_deletes = 1 + k + k * (k - 1) // 2
-    expected_pairs = k * (k - 1) // 2
-    suites["counters"].checked += 2
-    if a.delete_calls != expected_deletes:
-        suites["counters"].fail(f"{ctx()}: delete_calls={a.delete_calls}, expected {expected_deletes}")
-    if a.pair_queries != expected_pairs:
-        suites["counters"].fail(f"{ctx()}: pair_queries={a.pair_queries}, expected {expected_pairs}")
-    active_after = (p.on_mask & ~mask_of(down)) | mask_of(up)
+def _check_queries(query, active_after, sg, name, limit, g, suites, ctx) -> None:
+    """Every active pair through ``query`` against the reference: answers go
+    to suite ``name``, and the probes each query adds to ``sg.query_probes``
+    must stay within ``limit``."""
     ref = BruteForceReference(g, active_after)
-    call_limit = 1 + 2 * k
     for u in iter_bits(active_after):
         reach = ref.reachable(u)
         for v in iter_bits(active_after):
             if v <= u:
                 continue
-            got, calls = fd_query_probed(s, a, u, v)
-            suites["fully_dynamic"].checked += 1
+            before = sg.query_probes
+            got = query(u, v)
+            probes = sg.query_probes - before
+            suites[name].checked += 1
             expected = v in reach
             if got != expected:
-                suites["fully_dynamic"].fail(
-                    f"{ctx()}: query ({u},{v}) expected {expected}, got {got}"
-                )
+                suites[name].fail(f"{ctx()}: query ({u},{v}) expected {expected}, got {got}")
             suites["counters"].checked += 1
-            if calls > call_limit:
-                suites["counters"].fail(
-                    f"{ctx()}: query ({u},{v}) used {calls} oracle calls, limit {call_limit}"
-                )
+            if probes > limit:
+                suites["counters"].fail(f"{ctx()}: query ({u},{v}) made {probes} probes, limit {limit}")
+
+
+def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
+    a = fd_update(s, down, up)
+    sg = a.supergraph
+    k = len(set(up))
+    expected_deletes = 1 + k + k * (k - 1) // 2
+    expected_pairs = k * (k - 1) // 2
+    suites["counters"].checked += 2
+    if len(a.touched) != expected_deletes:
+        suites["counters"].fail(f"{ctx()}: {len(a.touched)} oracles pushed, expected {expected_deletes}")
+    if sg.build_probes != expected_pairs:
+        suites["counters"].fail(f"{ctx()}: {sg.build_probes} pair queries, expected {expected_pairs}")
+    active_after = (p.on_mask & ~mask_of(down)) | mask_of(up)
+    query = partial(fd_query, s, a)
+    _check_queries(query, active_after, sg, "fully_dynamic", 1 + 2 * k, g, suites, ctx)
     fd_rollback(s, a)
 
 
@@ -124,25 +131,8 @@ def _check_incremental(g, p, idx, up, suites, ctx) -> None:
             f"{ctx()}: update probes={sg.build_probes}, expected {k * (k - 1) // 2}"
         )
     active_after = p.on_mask | mask_of(up)
-    ref = BruteForceReference(g, active_after)
-    probe_limit = 2 * k
-    for u in iter_bits(active_after):
-        reach = ref.reachable(u)
-        for v in iter_bits(active_after):
-            if v <= u:
-                continue
-            got, probes = incremental_query_probed(idx, sg, u, v)
-            suites["incremental"].checked += 1
-            expected = v in reach
-            if got != expected:
-                suites["incremental"].fail(
-                    f"{ctx()}: query ({u},{v}) expected {expected}, got {got}"
-                )
-            suites["counters"].checked += 1
-            if probes > probe_limit:
-                suites["counters"].fail(
-                    f"{ctx()}: query ({u},{v}) used {probes} probes, limit {probe_limit}"
-                )
+    query = partial(incremental_query, idx, sg)
+    _check_queries(query, active_after, sg, "incremental", 2 * k, g, suites, ctx)
 
 
 def connected_via_component(g, labels, u: int, v: int) -> bool:
@@ -322,7 +312,7 @@ def rollback_suite(
 
         def run(structure):
             a = fd_update(structure, down, up)
-            answers = [fd_query_probed(structure, a, x, y)[0] for x, y in pair_picks]
+            answers = [fd_query(structure, a, x, y) for x, y in pair_picks]
             edges = a.supergraph.edges
             fd_rollback(structure, a)
             return edges, answers

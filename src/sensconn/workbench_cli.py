@@ -17,17 +17,21 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .bits import iter_bits, mask_of
 from .connectivity_oracle import BruteForceReference, oracle_names
 from .errors import ContractViolation, ParseError, QueryEndpointError, SensConnError
-from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query_probed, fd_rollback, fd_update
+from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from .graph_core import UpdateBatch, load_graph, parse_int, parse_query_text, parse_update_text
-from .incremental_sensitivity import build_incremental, incremental_query_probed, incremental_update
+from .incremental_sensitivity import build_incremental, incremental_query, incremental_update
 from . import verify as verify_lib
 
 ALGORITHMS = ("inc", "fd", "bf")
 EXHAUSTIVE_N_MAX = 6  # exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions
+# random verify checks every active pair over up to C(n_off, 2) oracles: one
+# trial at n = 400 takes up to 4 s and 55 MB, at 800 up to 30 s and 200 MB
+RANDOM_N_MAX = 400
 
 
 @dataclass
@@ -52,15 +56,19 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_queries(queries, answer):
-    """Map each query through ``answer``; illegal endpoints become "E"."""
+def _run_queries(queries, answer, sg=None):
+    """Map each query through ``answer``; illegal endpoints become "E". Also
+    returns the most probes one query added to ``sg.query_probes``."""
     results = []
+    most = 0
     for u, v in queries:
+        before = sg.query_probes if sg else 0
         try:
             results.append("1" if answer(u, v) else "0")
         except QueryEndpointError:
             results.append("E")
-    return results
+        most = max(most, sg.query_probes - before if sg else 0)
+    return results, most
 
 
 def cmd_run(args) -> int:
@@ -96,47 +104,34 @@ def cmd_run(args) -> int:
         t1 = time.perf_counter()
         sg = incremental_update(idx, batch.activate)
         t2 = time.perf_counter()
-        per_query: list[int] = []
-
-        def answer(u, v):
-            ok, probes = incremental_query_probed(idx, sg, u, v)
-            per_query.append(probes)
-            return ok
-
-        report.results = _run_queries(queries, answer)
+        report.results, most = _run_queries(queries, partial(incremental_query, idx, sg), sg)
         counters.update(
             preprocess_edge_probes=idx.build_edge_probes,
             preprocess_or_words=idx.build_or_words,
             update_pair_probes=sg.build_probes,
-            query_probes_total=sum(per_query),
-            query_probes_max=max(per_query, default=0),
+            query_probes_total=sg.query_probes,
+            query_probes_max=most,
         )
     elif args.algo == "fd":
         s = build_fully_dynamic(g, p, args.oracle)
         t1 = time.perf_counter()
         session = fd_update(s, batch.deactivate, batch.activate)
+        sg = session.supergraph
         t2 = time.perf_counter()
-        per_query = []
-
-        def answer(u, v):
-            ok, calls = fd_query_probed(s, session, u, v)
-            per_query.append(calls)
-            return ok
-
-        report.results = _run_queries(queries, answer)
+        report.results, most = _run_queries(queries, partial(fd_query, s, session), sg)
         counters.update(
             preprocess_oracle_count=s.oracle_count,
             preprocess_probes=s.preprocess_probes,
-            update_delete_calls=session.delete_calls,
-            update_pair_queries=session.pair_queries,
-            query_calls_total=sum(per_query),
-            query_calls_max=max(per_query, default=0),
+            update_delete_calls=len(session.touched),
+            update_pair_queries=sg.build_probes,
+            query_calls_total=sg.query_probes,
+            query_calls_max=most,
         )
     else:  # bf
         active_after = (p.on_mask & ~mask_of(batch.deactivate)) | mask_of(batch.activate)
         ref = BruteForceReference(g, active_after)
         t1 = t2 = time.perf_counter()
-        report.results = _run_queries(queries, ref.connected)
+        report.results, _ = _run_queries(queries, ref.connected)
     t3 = time.perf_counter()
 
     errors = report.results.count("E")
@@ -159,9 +154,9 @@ def cmd_verify(args) -> int:
     # random mode draws graphs of 2..n_max vertices; one vertex has no pair to check
     _require_at_least((("--trials", args.trials, 1), ("--n-max", args.n_max, 2),
                        ("--batch-max", args.batch_max, 0)))
-    if args.mode == "exhaustive" and args.n_max > EXHAUSTIVE_N_MAX:
-        raise ContractViolation(
-            f"--n-max must be at most {EXHAUSTIVE_N_MAX} in exhaustive mode, got {args.n_max}")
+    n_cap = EXHAUSTIVE_N_MAX if args.mode == "exhaustive" else RANDOM_N_MAX
+    if args.n_max > n_cap:
+        raise ContractViolation(f"--n-max must be at most {n_cap} in {args.mode} mode, got {args.n_max}")
     for prob in args.edge_prob or ():
         if not 0 <= prob <= 1:  # also false for nan
             raise ContractViolation(f"--edge-prob must lie in [0, 1], got {prob}")
@@ -202,8 +197,8 @@ def cmd_bench(args) -> int:
                 print(f"warning: batch size {size} exceeds the {p.n_off} inactive vertices, skipped",
                       file=sys.stderr)
                 continue
-            delete_calls = []
-            pair_queries = []
+            pushes = []
+            pair_counts = []
             call_means = []
             call_max = 0
             for rep in range(args.repeats):
@@ -214,31 +209,27 @@ def cmd_bench(args) -> int:
                           file=sys.stderr)
                     return 1
                 session = fd_update(s, (), batch)
-                delete_calls.append(session.delete_calls)
-                pair_queries.append(session.pair_queries)
+                sg = session.supergraph
+                pushes.append(len(session.touched))
+                pair_counts.append(sg.build_probes)
                 picks = [(rng.choice(alive), rng.choice(alive)) for _ in range(args.queries)]
-                answers = []
-                calls = []
-                for u, v in picks:
-                    ok, c = fd_query_probed(s, session, u, v)
-                    answers.append(ok)
-                    calls.append(c)
-                    if c > 1 + 2 * size:
-                        print(f"error: query used {c} oracle calls, bound {1 + 2 * size}", file=sys.stderr)
-                        return 1
+                answers, most = _run_queries(picks, partial(fd_query, s, session), sg)
+                if most > 1 + 2 * size:
+                    print(f"error: query used {most} oracle calls, bound {1 + 2 * size}", file=sys.stderr)
+                    return 1
                 key = (size, rep)
                 if key in answers_by_key and answers_by_key[key] != answers:
                     print(f"error: oracle factories disagree on batch size {size} repeat {rep}",
                           file=sys.stderr)
                     return 1
                 answers_by_key[key] = answers
-                call_means.append(sum(calls) / len(calls) if calls else 0.0)
-                call_max = max(call_max, max(calls, default=0))
+                call_means.append(sg.query_probes / len(picks) if picks else 0.0)
+                call_max = max(call_max, most)
                 fd_rollback(s, session)
             formula_pairs = size * (size - 1) // 2
             formula_deletes = 1 + size + formula_pairs
-            if any(x != formula_deletes for x in delete_calls) or any(
-                x != formula_pairs for x in pair_queries
+            if any(x != formula_deletes for x in pushes) or any(
+                x != formula_pairs for x in pair_counts
             ):
                 print("error: update counters deviate from the batch-size formulas", file=sys.stderr)
                 return 1
@@ -246,8 +237,8 @@ def cmd_bench(args) -> int:
                 "oracle": factory,
                 "batch_size": size,
                 "repeats": args.repeats,
-                "update_delete_calls": max(delete_calls, default=0),
-                "update_pair_queries": max(pair_queries, default=0),
+                "update_delete_calls": max(pushes, default=0),
+                "update_pair_queries": max(pair_counts, default=0),
                 "formula_delete_calls": formula_deletes,
                 "formula_pair_queries": formula_pairs,
                 "query_calls_mean": round(sum(call_means) / len(call_means), 3) if call_means else 0,
@@ -314,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mode", choices=("exhaustive", "random"), default="random")
     ver.add_argument("--n-max", type=int, default=None,
                      help=f"exhaustive: exact vertex count (default 5, at most {EXHAUSTIVE_N_MAX}); "
-                          "random: largest n (default 40)")
+                          f"random: largest n (default 40, at most {RANDOM_N_MAX})")
     ver.add_argument("--trials", type=int, default=1000)
     ver.add_argument("--edge-prob", type=float, action="append",
                      help="random: edge probability in [0, 1], repeatable (default 0.1, 0.3, 0.6)")

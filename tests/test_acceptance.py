@@ -13,7 +13,7 @@ import pytest
 from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
-    fd_query_probed,
+    fd_query,
     fd_rollback,
     fd_update,
 )
@@ -96,8 +96,8 @@ def test_exact_counter_bounds(exhaustive_report, random_report):
         sg = incremental_update(idx, batch)
         assert sg.build_probes == size * (size - 1) // 2
         a = fd_update(s, [10, 11], batch)
-        assert a.delete_calls == 1 + size + size * (size - 1) // 2
-        assert a.pair_queries == size * (size - 1) // 2
+        assert len(a.touched) == 1 + size + size * (size - 1) // 2
+        assert a.supergraph.build_probes == size * (size - 1) // 2
         fd_rollback(s, a)
     total = suites["counters"].checked + random_report["counters"].checked
     print(f"PASS exact counter bounds: {total} assertions, 0 violations")
@@ -140,7 +140,7 @@ def test_desk_scale_build():
     # the structure is usable, not just constructible
     a = fd_update(s, [], list(p.off_vertices[:4]))
     u = next(v for v in range(500) if p.is_on(v))
-    _, calls = fd_query_probed(s, a, u, p.off_vertices[0])
-    assert calls <= 1 + 2 * 4
+    fd_query(s, a, u, p.off_vertices[0])
+    assert a.supergraph.query_probes <= 1 + 2 * 4
     fd_rollback(s, a)
     print(f"PASS desk-scale build: 466 oracles on G(500, 0.02) in {elapsed:.2f}s")

@@ -17,7 +17,6 @@ from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
     fd_query,
-    fd_query_probed,
     fd_rollback,
     fd_update,
 )
@@ -73,15 +72,15 @@ class TestUpdate:
         a = fd_update(s, [], [2])
         assert a.supergraph.nodes == (2,)
         assert a.supergraph.edges == ()
-        assert a.delete_calls == 2
-        assert a.pair_queries == 0
+        assert len(a.touched) == 2
+        assert a.supergraph.build_probes == 0
 
     def test_mixed_batch(self, mixed):
         g, p = mixed
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
         assert a.supergraph.nodes == (5,)
-        assert a.delete_calls == 2
+        assert len(a.touched) == 2
 
     def test_bridge_dies_with_its_component(self):
         # inactive 3 and 4 share only the component {2}; deactivating 2
@@ -105,8 +104,9 @@ class TestUpdate:
         for size in range(7):
             batch = list(range(size))
             a = fd_update(s, [8, 9], batch)
-            assert a.delete_calls == 1 + size + pairs_of(size)
-            assert a.pair_queries == pairs_of(size)
+            assert len(a.touched) == 1 + size + pairs_of(size)
+            assert a.supergraph.build_probes == pairs_of(size)
+            assert a.supergraph.query_probes == 0  # pair queries count in build_probes
             fd_rollback(s, a)
 
     def test_second_update_requires_rollback(self, p5):
@@ -232,7 +232,7 @@ class TestLabelingsPerBatch:
         labelings.clear()
         a = fd_update(s, [], up)
         assert labelings == []
-        assert a.delete_calls == 1 + len(up) + pairs_of(len(up))
+        assert len(a.touched) == 1 + len(up) + pairs_of(len(up))
         fd_rollback(s, a)
 
 
@@ -278,9 +278,10 @@ class TestQuery:
         g, p = p5
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [1], [])
-        got, calls = fd_query_probed(s, a, 0, 3)
-        assert got is False
-        assert calls == 1
+        sg = a.supergraph
+        before = sg.query_probes
+        assert fd_query(s, a, 0, 3) is False
+        assert sg.query_probes - before == 1
 
     def test_batch_endpoints(self, mixed):
         g, p = mixed
@@ -300,6 +301,18 @@ class TestQuery:
             fd_query(s, a, 5, 0)
         with pytest.raises(QueryEndpointError):
             fd_query(s, a, 0, 77)
+
+    def test_illegal_endpoint_adds_no_probes(self, mixed):
+        g, p = mixed
+        s = build_fully_dynamic(g, p)
+        a = fd_update(s, [2], [5])
+        assert fd_query(s, a, 0, 4) is True
+        probes = a.supergraph.query_probes
+        assert probes > 0
+        for u, v in ((2, 0), (0, 77), (-1, 4)):
+            with pytest.raises(QueryEndpointError):
+                fd_query(s, a, u, v)
+        assert a.supergraph.query_probes == probes
 
     def test_stale_handle_rejected(self, p5):
         g, p = p5
@@ -323,8 +336,9 @@ class TestQuery:
             alive = sorted(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(batch)))
             for u in alive:
                 for v in alive:
-                    _, calls = fd_query_probed(s, a, u, v)
-                    assert calls <= 1 + 2 * len(batch)
+                    before = a.supergraph.query_probes
+                    fd_query(s, a, u, v)
+                    assert a.supergraph.query_probes - before <= 1 + 2 * len(batch)
             fd_rollback(s, a)
 
 
@@ -342,7 +356,7 @@ class TestRollback:
         g, p = mixed
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
-        assert len(a.touched) == a.delete_calls
+        assert len(a.touched) == 1 + 1 + 0  # 1 + |I| + C(|I|, 2) pushes for I = {5}
         fd_rollback(s, a)
         assert all(o.phase == "fresh" for o in a.touched)
 

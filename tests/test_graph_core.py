@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
+from sensconn.connectivity_oracle import BruteForceReference
 from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
 from sensconn.generators import path_graph, star_graph
 import sensconn.graph_core as graph_core
@@ -248,6 +249,18 @@ class TestReachableMask:
         g, _ = p5
         active = {0, 1, 3, 4}
         assert reachable(g, mask_of(active), 0) == {0, 1}
+
+
+@pytest.mark.parametrize("mask", [-1, -2])
+@pytest.mark.parametrize("call", [
+    lambda g, mask: reachable(g, mask, 0),
+    lambda g, mask: component_labels(g, mask),
+    lambda g, mask: BruteForceReference(g, mask).connected(0, 3),
+], ids=["reachable", "component_labels", "BruteForceReference.connected"])
+def test_negative_active_mask_rejected(call, mask):
+    # bin() of a negative int reads "-0b...": the flags must not be built from it
+    with pytest.raises(ContractViolation, match="non-negative"):
+        call(path_graph(4), mask)
 
 
 class TestUpdateAndQueryFiles:

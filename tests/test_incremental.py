@@ -11,7 +11,6 @@ from sensconn.graph_core import Graph, StatePartition
 from sensconn.incremental_sensitivity import (
     build_incremental,
     incremental_query,
-    incremental_query_probed,
     incremental_update,
 )
 from sensconn.verify import connected_via_component
@@ -117,6 +116,7 @@ class TestUpdate:
         for size in range(8):
             sg = incremental_update(idx, list(range(size)))
             assert sg.build_probes == pairs_of(size)
+            assert sg.query_probes == 0  # pair probes count in build_probes
 
     def test_active_vertex_rejected(self, p5):
         g, p = p5
@@ -151,7 +151,9 @@ class TestQuery:
         g, p = p5
         idx = build_incremental(g, p)
         sg = incremental_update(idx, [2])
-        assert incremental_query_probed(idx, sg, 0, 1) == (True, 0)
+        before = sg.query_probes
+        assert incremental_query(idx, sg, 0, 1) is True
+        assert sg.query_probes - before == 0
 
     def test_no_batch_no_bridge(self, p5):
         g, p = p5
@@ -187,6 +189,18 @@ class TestQuery:
         with pytest.raises(QueryEndpointError):
             incremental_query(idx, sg, 0, 9)
 
+    def test_illegal_endpoint_adds_no_probes(self, p5):
+        g, p = p5
+        idx = build_incremental(g, p)
+        sg = incremental_update(idx, [2])
+        assert incremental_query(idx, sg, 0, 4) is True
+        probes = sg.query_probes
+        assert probes > 0
+        for u, v in ((0, 9), (-1, 4), (5, 0)):
+            with pytest.raises(QueryEndpointError):
+                incremental_query(idx, sg, u, v)
+        assert sg.query_probes == probes
+
     def test_probe_budget_is_twice_the_batch(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -200,8 +214,9 @@ class TestQuery:
             alive = sorted(iter_bits(p.on_mask)) + sorted(batch)
             for u in alive:
                 for v in alive:
-                    _, probes = incremental_query_probed(idx, sg, u, v)
-                    assert probes <= 2 * len(batch)
+                    before = sg.query_probes
+                    incremental_query(idx, sg, u, v)
+                    assert sg.query_probes - before <= 2 * len(batch)
 
     def test_any_batch_size_without_rebuild(self):
         rng = random.Random(8)

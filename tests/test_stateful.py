@@ -22,7 +22,7 @@ from hypothesis.stateful import (
 from sensconn.bits import iter_bits
 from sensconn.connectivity_oracle import oracle_class, oracle_names, register_oracle
 from sensconn.errors import QueryEndpointError
-from sensconn.fully_dynamic_sensitivity import build_fully_dynamic, fd_query_probed, fd_rollback, fd_update
+from sensconn.fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 
 from reference import brute_connected
 from strategies import graphs_with_partition
@@ -76,7 +76,8 @@ def machine_for(factory_cls):
             down, up = self.batch(data)
             self.session = fd_update(self.s, down, up)
             k = len(up)
-            assert self.session.delete_calls == 1 + k + k * (k - 1) // 2
+            assert len(self.session.touched) == 1 + k + k * (k - 1) // 2
+            assert self.session.supergraph.query_probes == 0
             self.active = (set(iter_bits(self.p.on_mask)) - set(down)) | set(up)
 
         @precondition(lambda self: self.session is None)
@@ -96,13 +97,16 @@ def machine_for(factory_cls):
         def query(self, data):
             u = data.draw(st.integers(0, self.g.n - 1), label="u")
             v = data.draw(st.integers(0, self.g.n - 1), label="v")
+            sg = self.session.supergraph
+            before = sg.query_probes
             if u in self.active and v in self.active:
-                got, calls = fd_query_probed(self.s, self.session, u, v)
+                got = fd_query(self.s, self.session, u, v)
                 assert got == brute_connected(self.g, self.active, u, v)
-                assert calls <= 1 + 2 * len(self.session.activated)
+                assert sg.query_probes - before <= 1 + 2 * len(self.session.activated)
             else:
                 with pytest.raises(QueryEndpointError):
-                    fd_query_probed(self.s, self.session, u, v)
+                    fd_query(self.s, self.session, u, v)
+                assert sg.query_probes == before
 
         @precondition(lambda self: self.session is not None)
         @rule()

@@ -5,7 +5,7 @@ import pytest
 from sensconn.connectivity_oracle import RebuildOracle, oracle_names, register_oracle
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
-from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, main
+from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, RANDOM_N_MAX, main
 
 from conftest import FIXTURES
 
@@ -212,6 +212,24 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         assert f"at most {EXHAUSTIVE_N_MAX}" in " ".join(capsys.readouterr().out.split())
+
+    def test_random_n_max_above_the_cap_is_one_error_line(self, capsys, monkeypatch):
+        import sensconn.verify as verify_mod
+
+        def drawn(n, p, rng):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(verify_mod, "gnp_graph", drawn)
+        too_big = RANDOM_N_MAX + 1
+        code, out, err = run_cli(capsys, "verify", "--mode", "random", "--n-max", str(too_big))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --n-max must be at most {RANDOM_N_MAX} in random mode, got {too_big}"
+        ]
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert f"at most {RANDOM_N_MAX}" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
