@@ -4,12 +4,11 @@ Preprocess a graph whose vertices are split into active and inactive, apply
 one batch flipping vertex states, answer connectivity queries restricted to
 active vertices, then roll back. Ships an activation-only engine with
 bit-array preprocessing, a fully dynamic engine over pluggable decremental
-oracles, a brute-force reference, and a verification workbench.
+oracles, a brute-force reachability reference, and a verification workbench.
 """
 
 from .connectivity_oracle import (
     BruteForceOracle,
-    BruteForceReference,
     DecrementalOracle,
     OracleCosts,
     RebuildOracle,
@@ -26,7 +25,6 @@ from .errors import (
     SensConnError,
 )
 from .fully_dynamic_sensitivity import (
-    ActiveUpdate,
     DoublingFamily,
     FullyDynamicStructure,
     build_doubling,
@@ -56,9 +54,7 @@ from .incremental_sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveUpdate",
     "BruteForceOracle",
-    "BruteForceReference",
     "CapacityError",
     "ContractViolation",
     "DecrementalOracle",

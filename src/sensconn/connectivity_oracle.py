@@ -1,5 +1,4 @@
-"""Decremental connectivity oracles and the brute-force reference every engine
-in this package is checked against.
+"""Decremental connectivity oracles.
 
 An oracle answers connectivity over a fixed graph restricted to a set of
 active vertices, after at most one batch of vertex deletions per cycle.
@@ -12,7 +11,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from .bits import all_bits, has_bit, iter_bits, mask_of, word_count
+from .bits import all_bits, iter_bits, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
 from .graph_core import component_labels, reachable, split_labels
 
@@ -24,18 +23,16 @@ UPDATED = "updated"
 class OracleCosts:
     """Abstract work counters in elementary probes, not wall clock.
 
-    Counters only grow between resets; ``rebase`` drops the per-cycle ones
-    back to their post-preprocessing values.
+    ``t_p`` and ``space_s`` are set by preprocessing; ``t_u`` grows with a
+    push and ``rebase`` drops it back to 0. Queries count nothing.
     """
 
     t_p: int = 0
     t_u: int = 0
-    t_q: int = 0
     space_s: int = 0
 
     def rebase(self):
         self.t_u = 0
-        self.t_q = 0
 
 
 class DecrementalOracle(abc.ABC):
@@ -54,9 +51,10 @@ class DecrementalOracle(abc.ABC):
     done for the batch it currently holds, and must stay correct whatever
     that batch is, including after ``base`` is reset; ``base`` is only read.
 
-    Instances are single-threaded: every call, queries included, updates
-    ``costs`` (a query adds to ``t_q``), so calls on one oracle must not
-    overlap, nor overlap calls on its ``base``.
+    ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``, and
+    a push may read ``base``; ``query`` only reads. Concurrent queries on one
+    oracle are therefore safe, but no call may overlap its ``delete_batch``
+    or ``reset``, nor a push overlap those of its ``base``.
     """
 
     name = "abstract"
@@ -234,7 +232,6 @@ class RebuildOracle(DecrementalOracle):
         self._labels, self._merge = self._fresh
 
     def _connected(self, u, v):
-        self.costs.t_q += 2
         labels, merge = self._labels, self._merge
         lu, lv = labels[u], labels[v]
         if merge:
@@ -262,23 +259,5 @@ class BruteForceOracle(DecrementalOracle):
         self._alive = self.active
 
     def _connected(self, u, v):
-        reach = reachable(self.graph, self._alive, u)
-        self.costs.t_q += len(reach)
-        return v in reach
+        return v in reachable(self.graph, self._alive, u)
 
-
-class BruteForceReference:
-    """From-scratch reachability over a fixed active set; the ground truth
-    every engine is tested against. Stateless beyond its two inputs."""
-
-    def __init__(self, graph, active_mask: int):
-        self.graph = graph
-        self.active_mask = active_mask
-
-    def reachable(self, u: int) -> set[int]:
-        return reachable(self.graph, self.active_mask, u)
-
-    def connected(self, u: int, v: int) -> bool:
-        if not (0 <= v < self.graph.n and has_bit(self.active_mask, v)):
-            raise QueryEndpointError(f"vertex {v} is not active")
-        return v in self.reachable(u)

@@ -5,8 +5,10 @@ every one- and two-vertex augmentation of it; each is the input graph
 restricted to its own active vertex mask, so every oracle speaks the original
 vertex ids. An update pushes the deactivations into the oracles it will
 actually consult, then builds the bridge graph over the activated vertices
-from pair-oracle queries. A query needs at most 1 + 2d oracle queries and
-counts them on that bridge graph.
+from pair-oracle queries. That bridge graph (SuperGraph) is the batch's only
+record: it also holds the deactivated vertices and the pushed oracles, which
+rollback resets. A query needs at most 1 + 2d oracle queries and counts them
+on that bridge graph.
 
 Every augmented oracle gets the base oracle as its ``base``; with the
 ``rebuild`` factory the whole family then shares one survivor labeling, made
@@ -31,9 +33,10 @@ from .incremental_sensitivity import SuperGraph, build_supergraph
 class FullyDynamicStructure:
     """Oracle family for one graph and partition.
 
-    Single-threaded: every call needs exclusive access, fd_query included,
-    because each oracle query adds to that oracle's ``costs.t_q`` and each
-    fd_query adds its oracle queries to the batch's ``supergraph.query_probes``.
+    fd_update and fd_rollback push deletions into and reset the oracles, so
+    they need exclusive access. fd_query only reads the oracles, and like
+    incremental_query it writes only its batch's ``query_probes``:
+    concurrent queries on one batch answer correctly but may under-count.
     """
 
     graph: Graph
@@ -41,28 +44,13 @@ class FullyDynamicStructure:
     factory: str
     base: DecrementalOracle  # over the base active vertices
     single: dict[int, DecrementalOracle]  # inactive vertex -> oracle over base + that vertex
-    pairs: dict[frozenset[int], DecrementalOracle]  # pair of inactive vertices -> oracle
+    pairs: dict[tuple[int, int], DecrementalOracle]  # ascending pair of inactive vertices -> oracle
     preprocess_probes: int
-    session: "ActiveUpdate | None" = None
+    session: SuperGraph | None = None
 
     @property
     def oracle_count(self) -> int:
         return 1 + len(self.single) + len(self.pairs)
-
-
-@dataclass
-class ActiveUpdate:
-    """Live state of one processed batch, held until rollback.
-
-    The update pushed the deletions into each oracle of ``touched`` once, and
-    ``supergraph`` counts its pair queries (``build_probes``) and the oracle
-    queries of fd_query against it (``query_probes``).
-    """
-
-    deactivated: frozenset[int]
-    activated: frozenset[int]
-    supergraph: SuperGraph
-    touched: tuple[DecrementalOracle, ...]
 
 
 def build_fully_dynamic(
@@ -77,7 +65,7 @@ def build_fully_dynamic(
     base = make_oracle(oracle, g, p.on_mask, d=d)
     single = {u: make_oracle(oracle, g, p.on_mask | 1 << u, d=d, base=base) for u in p.off_vertices}
     pairs = {
-        frozenset((a, b)): make_oracle(oracle, g, p.on_mask | 1 << a | 1 << b, d=d, base=base)
+        (a, b): make_oracle(oracle, g, p.on_mask | 1 << a | 1 << b, d=d, base=base)
         for a, b in combinations(p.off_vertices, 2)
     }
     probes = base.costs.t_p
@@ -94,18 +82,19 @@ def build_fully_dynamic(
     )
 
 
-def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
+def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     """Process one batch: push deletions into the touched oracles, then build
     the bridge graph over the activated vertices from pair-oracle queries.
+    The bridge graph is the batch's record and its handle.
 
     Oracle-call accounting: len(touched) = 1 + |I| + C(|I|, 2) delete calls
-    and supergraph.build_probes = C(|I|, 2) pair queries, where I is the
-    activation set. The base oracle is pushed first, so with ``rebuild`` the
-    family shares the base's labeling, split locally around the deactivated
-    vertices. A batch larger than the capacity the oracles were built for
-    raises CapacityError before any oracle is touched. If any later step
-    raises, the batch's oracles are reset before the exception propagates, so
-    the structure stays ready for the next update.
+    and build_probes = C(|I|, 2) pair queries, where I is the activation set.
+    The base oracle is pushed first, so with ``rebuild`` the family shares
+    the base's labeling, split locally around the deactivated vertices. A
+    batch larger than the capacity the oracles were built for raises
+    CapacityError before any oracle is touched. If any later step raises,
+    the batch's oracles are reset before the exception propagates, so the
+    structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
@@ -113,59 +102,56 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> ActiveUpdate:
     capacity = s.base.capacity
     if capacity is not None and batch.d > capacity:
         raise CapacityError(f"batch of size {batch.d} exceeds the oracles' capacity {capacity}")
-    up = tuple(sorted(batch.activate))
+    up = sorted(batch.activate)
+    pairs = s.pairs
     oracles = [s.base]
     oracles += (s.single[u] for u in up)
-    oracles += (s.pairs[frozenset(ab)] for ab in combinations(up, 2))
+    oracles += (pairs[ab] for ab in combinations(up, 2))
     try:
         for o in oracles:
             o.delete_batch(batch.deactivate)
-        sg = build_supergraph(up, lambda x, y: s.pairs[frozenset((x, y))].query(x, y))
+        sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y),
+                              deactivated=batch.deactivate, touched=tuple(oracles))
     except BaseException:
         for o in oracles:  # reset() on an oracle not yet pushed is a no-op
             o.reset()
         raise
-    session = ActiveUpdate(
-        deactivated=batch.deactivate,
-        activated=batch.activate,
-        supergraph=sg,
-        touched=tuple(oracles),
-    )
-    s.session = session
-    return session
+    s.session = sg
+    return sg
 
 
-def fd_query(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -> bool:
-    """True iff u and v are connected after the batch behind ``a``.
+def fd_query(s: FullyDynamicStructure, a: SuperGraph, u: int, v: int) -> bool:
+    """True iff u and v are connected after the batch behind ``a``, the
+    bridge graph fd_update returned.
 
-    Adds the oracle queries it makes to ``a.supergraph.query_probes``.
+    Adds the oracle queries it makes to ``a.query_probes``.
     """
     if s.session is not a:
         raise ContractViolation("stale update handle")
     p = s.partition
-    sg = a.supergraph
+    comp = a.comp
     for x in (u, v):
         if not 0 <= x < p.n:
             raise QueryEndpointError(f"vertex {x} outside [0, {p.n})")
         if x in a.deactivated:
             raise QueryEndpointError(f"vertex {x} was deactivated by this update")
-        if not p.is_on(x) and x not in sg.node_index:
+        if not p.is_on(x) and x not in comp:
             raise QueryEndpointError(f"vertex {x} is inactive")
     if u == v:
         return True
-    u_new = not p.is_on(u)
-    v_new = not p.is_on(v)
+    u_new = u in comp
+    v_new = v in comp
     if u_new and v_new:
-        return sg.component_of(u) == sg.component_of(v)
+        return comp[u] == comp[v]
     calls = 0
     if not u_new and not v_new:
         calls += 1
         if s.base.query(u, v):
-            sg.query_probes += calls
+            a.query_probes += calls
             return True
-        for comp in sg.components:
+        for members in a.components:
             hit_u = hit_v = False
-            for w in comp:
+            for w in members:
                 o = s.single[w]
                 if not hit_u:
                     calls += 1
@@ -174,24 +160,24 @@ def fd_query(s: FullyDynamicStructure, a: ActiveUpdate, u: int, v: int) -> bool:
                     calls += 1
                     hit_v = o.query(w, v)
                 if hit_u and hit_v:
-                    sg.query_probes += calls
+                    a.query_probes += calls
                     return True
-        sg.query_probes += calls
+        a.query_probes += calls
         return False
     # one endpoint was just activated: its batch component must reach the
     # other endpoint through some member's augmented graph
     if v_new:
         u, v = v, u
-    for w in sg.components[sg.component_of(u)]:
+    for w in a.components[comp[u]]:
         calls += 1
         if s.single[w].query(w, v):
-            sg.query_probes += calls
+            a.query_probes += calls
             return True
-    sg.query_probes += calls
+    a.query_probes += calls
     return False
 
 
-def fd_rollback(s: FullyDynamicStructure, a: ActiveUpdate) -> None:
+def fd_rollback(s: FullyDynamicStructure, a: SuperGraph) -> None:
     """Reset every oracle the update touched and clear the session."""
     if s.session is not a:
         raise ContractViolation("stale update handle")
@@ -217,7 +203,7 @@ class DoublingFamily:
     def structure_for(self, d: int) -> FullyDynamicStructure:
         return self.structures[self.level_for(d)]
 
-    def dispatch_update(self, deactivate, activate) -> tuple[int, ActiveUpdate]:
+    def dispatch_update(self, deactivate, activate) -> tuple[int, SuperGraph]:
         size = len(set(deactivate)) + len(set(activate))
         cap = self.level_for(size)
         return cap, fd_update(self.structures[cap], deactivate, activate)

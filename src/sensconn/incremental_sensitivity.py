@@ -5,10 +5,11 @@ families: per component, which inactive vertices touch it; per inactive
 vertex, which other inactive vertices it can reach through a single shared
 component or a direct edge. An update of batch size d then builds a bridge
 graph over the batch with one bit probe per pair, and a query needs at most
-2d probes. The bridge graph (SuperGraph) counts both.
+2d probes. The bridge graph (SuperGraph) is the batch's only record, and
+counts both.
 
 The index is never mutated by updates, so rollback is simply dropping the
-SuperGraph a session produced. Queries write only their SuperGraph's
+SuperGraph an update returned. Queries write only their SuperGraph's
 ``query_probes``: concurrent queries on one SuperGraph answer correctly but
 may under-count.
 """
@@ -16,9 +17,10 @@ may under-count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from .bits import has_bit, iter_bits, word_count
+from .connectivity_oracle import DecrementalOracle
 from .errors import QueryEndpointError
 from .graph_core import Graph, StatePartition, UpdateBatch, component_labels
 from .union_find import UnionFind
@@ -97,65 +99,65 @@ def build_incremental(g: Graph, p: StatePartition) -> IncrementalIndex:
 
 @dataclass
 class SuperGraph:
-    """Bridge graph over one activation batch, and the batch's probe counts.
+    """Bridge graph over one batch: the only record of a processed batch,
+    in both engines.
 
     Nodes are the activated vertices; an edge means the two endpoints are
     joined through a single surviving component or by a direct edge.
-    Components are numbered by smallest member.
+    ``comp`` takes each node to its index in ``components``, in ascending
+    order of nodes; components are numbered by smallest member and list
+    their members in ascending order.
 
     ``build_probes`` counts the pair probes that built it. ``query_probes``
     counts the primitive probes of the queries answered against it so far:
     bit probes for the activation-only engine, oracle queries for the fully
     dynamic one. Each query adds the probes it made, and one that raises adds
     nothing, so the count of one query is the difference before and after it.
+    The fully dynamic engine also records the batch's ``deactivated`` set and
+    the ``touched`` oracles it pushed the deletions into, which rollback
+    resets; both are empty for the activation-only engine.
     """
 
-    nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    comp_of: tuple[int, ...]  # per node position
     components: tuple[tuple[int, ...], ...]
+    comp: dict[int, int]
     build_probes: int
-    node_index: Mapping[int, int] = field(compare=False, repr=False)
+    deactivated: frozenset[int] = frozenset()
+    touched: tuple[DecrementalOracle, ...] = field(default=(), compare=False, repr=False)
     query_probes: int = field(default=0, compare=False)
 
-    @property
-    def k(self) -> int:
-        return len(self.components)
 
-    def component_of(self, v: int) -> int:
-        return self.comp_of[self.node_index[v]]
-
-
-def build_supergraph(nodes, adjacent: Callable[[int, int], bool]) -> SuperGraph:
+def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
+                     deactivated: frozenset[int] = frozenset(),
+                     touched: tuple[DecrementalOracle, ...] = ()) -> SuperGraph:
     """Probe every unordered pair exactly once (no short-circuit, so the
     probe counter is n*(n-1)/2 by construction) and label the components."""
-    nodes = tuple(sorted(nodes))
+    nodes = sorted(nodes)
     uf = UnionFind(len(nodes))
     edges = []
     probes = 0
-    for i in range(len(nodes)):
+    for i, x in enumerate(nodes):
         for j in range(i + 1, len(nodes)):
             probes += 1
-            if adjacent(nodes[i], nodes[j]):
-                edges.append((nodes[i], nodes[j]))
+            if adjacent(x, nodes[j]):
+                edges.append((x, nodes[j]))
                 uf.union(i, j)
-    comp_of = []
+    comp: dict[int, int] = {}
     root_to_id: dict[int, int] = {}
     members: list[list[int]] = []
     for i, v in enumerate(nodes):
-        root = uf.find(i)
-        cid = root_to_id.setdefault(root, len(root_to_id))
+        cid = root_to_id.setdefault(uf.find(i), len(members))
         if cid == len(members):
             members.append([])
         members[cid].append(v)
-        comp_of.append(cid)
+        comp[v] = cid
     return SuperGraph(
-        nodes=nodes,
         edges=tuple(edges),
-        comp_of=tuple(comp_of),
-        components=tuple(tuple(ms) for ms in members),
+        components=tuple(map(tuple, members)),
+        comp=comp,
         build_probes=probes,
-        node_index={v: i for i, v in enumerate(nodes)},
+        deactivated=deactivated,
+        touched=touched,
     )
 
 
@@ -181,18 +183,19 @@ def incremental_query(idx: IncrementalIndex, sg: SuperGraph, u: int, v: int) -> 
     Adds the bit probes it makes to ``sg.query_probes``.
     """
     p = idx.partition
+    comp = sg.comp
     for x in (u, v):
         if not 0 <= x < p.n:
             raise QueryEndpointError(f"vertex {x} outside [0, {p.n})")
-        if not p.is_on(x) and x not in sg.node_index:
+        if not p.is_on(x) and x not in comp:
             raise QueryEndpointError(f"vertex {x} is inactive after the update")
     if u == v:
         return True
     labels = idx.labels
-    u_new = not p.is_on(u)
-    v_new = not p.is_on(v)
+    u_new = u in comp
+    v_new = v in comp
     if u_new and v_new:
-        return sg.component_of(u) == sg.component_of(v)
+        return comp[u] == comp[v]
     probes = 0
     if not u_new and not v_new:
         cu, cv = labels[u], labels[v]
@@ -219,7 +222,7 @@ def incremental_query(idx: IncrementalIndex, sg: SuperGraph, u: int, v: int) -> 
     if v_new:
         u, v = v, u
     mask_v = idx.comp_adj[labels[v]]
-    for w in sg.components[sg.component_of(u)]:
+    for w in sg.components[comp[u]]:
         probes += 1
         if has_bit(mask_v, p.off_index[w]):
             sg.query_probes += probes

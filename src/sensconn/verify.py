@@ -1,6 +1,6 @@
 """Equivalence and counter verification suites.
 
-Every suite compares an engine against BruteForceReference over exhaustive or
+Every suite compares an engine against ``reachable`` over exhaustive or
 seeded random corpora and reports mismatch counts plus the first reproducible
 counterexample. The CLI's verify command and the acceptance tests both run
 through these entry points.
@@ -14,11 +14,11 @@ from functools import partial
 from itertools import combinations
 
 from .bits import iter_bits, mask_of
-from .connectivity_oracle import BruteForceReference, make_oracle
+from .connectivity_oracle import make_oracle
 from .errors import ContractViolation
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from .generators import gnp_graph
-from .graph_core import Graph, StatePartition, component_labels, dump_graph
+from .graph_core import Graph, StatePartition, component_labels, dump_graph, reachable
 from .incremental_sensitivity import build_incremental, incremental_query, incremental_update
 
 SUITE_NAMES = ("fully_dynamic", "incremental", "lemma_on_paths", "counters")
@@ -87,9 +87,8 @@ def _check_queries(query, active_after, sg, name, limit, g, suites, ctx) -> None
     """Every active pair through ``query`` against the reference: answers go
     to suite ``name``, and the probes each query adds to ``sg.query_probes``
     must stay within ``limit``."""
-    ref = BruteForceReference(g, active_after)
     for u in iter_bits(active_after):
-        reach = ref.reachable(u)
+        reach = reachable(g, active_after, u)
         for v in iter_bits(active_after):
             if v <= u:
                 continue
@@ -106,20 +105,19 @@ def _check_queries(query, active_after, sg, name, limit, g, suites, ctx) -> None
 
 
 def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
-    a = fd_update(s, down, up)
-    sg = a.supergraph
+    sg = fd_update(s, down, up)
     k = len(set(up))
     expected_deletes = 1 + k + k * (k - 1) // 2
     expected_pairs = k * (k - 1) // 2
     suites["counters"].checked += 2
-    if len(a.touched) != expected_deletes:
-        suites["counters"].fail(f"{ctx()}: {len(a.touched)} oracles pushed, expected {expected_deletes}")
+    if len(sg.touched) != expected_deletes:
+        suites["counters"].fail(f"{ctx()}: {len(sg.touched)} oracles pushed, expected {expected_deletes}")
     if sg.build_probes != expected_pairs:
         suites["counters"].fail(f"{ctx()}: {sg.build_probes} pair queries, expected {expected_pairs}")
     active_after = (p.on_mask & ~mask_of(down)) | mask_of(up)
-    query = partial(fd_query, s, a)
+    query = partial(fd_query, s, sg)
     _check_queries(query, active_after, sg, "fully_dynamic", 1 + 2 * k, g, suites, ctx)
-    fd_rollback(s, a)
+    fd_rollback(s, sg)
 
 
 def _check_incremental(g, p, idx, up, suites, ctx) -> None:
@@ -187,11 +185,11 @@ def _check_lemma(g, p, down, up, suites, ctx) -> None:
     labels, count = component_labels(g, survivors)
     if count < 2:
         return
-    ref = BruteForceReference(g, survivors | mask_of(up))
+    active_after = survivors | mask_of(up)
     batch = sorted(set(up))
     first = [labels.index(c) for c in range(count)]  # each component's smallest vertex
     for cu in range(count):
-        reach = ref.reachable(first[cu])
+        reach = reachable(g, active_after, first[cu])
         for cv in range(cu + 1, count):
             got = connected_by_set(g, labels, count, batch, cu, cv)
             expected = first[cv] in reach
@@ -272,9 +270,8 @@ def oracle_conformance_suite(
         down = rng.sample(alive, rng.randint(0, min(batch_max, len(alive))))
 
         def compare(active_mask, phase):
-            ref = BruteForceReference(g, active_mask)
             for u in iter_bits(active_mask):
-                reach = ref.reachable(u)
+                reach = reachable(g, active_mask, u)
                 for v in iter_bits(active_mask):
                     if v <= u:
                         continue
@@ -313,7 +310,7 @@ def rollback_suite(
         def run(structure):
             a = fd_update(structure, down, up)
             answers = [fd_query(structure, a, x, y) for x, y in pair_picks]
-            edges = a.supergraph.edges
+            edges = a.edges
             fd_rollback(structure, a)
             return edges, answers
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .bits import iter_bits, mask_of
-from .connectivity_oracle import BruteForceReference, oracle_names
+from .connectivity_oracle import make_oracle, oracle_names
 from .errors import ContractViolation, ParseError, QueryEndpointError, SensConnError
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from .graph_core import UpdateBatch, load_graph, parse_int, parse_query_text, parse_update_text
@@ -115,23 +115,22 @@ def cmd_run(args) -> int:
     elif args.algo == "fd":
         s = build_fully_dynamic(g, p, args.oracle)
         t1 = time.perf_counter()
-        session = fd_update(s, batch.deactivate, batch.activate)
-        sg = session.supergraph
+        sg = fd_update(s, batch.deactivate, batch.activate)
         t2 = time.perf_counter()
-        report.results, most = _run_queries(queries, partial(fd_query, s, session), sg)
+        report.results, most = _run_queries(queries, partial(fd_query, s, sg), sg)
         counters.update(
             preprocess_oracle_count=s.oracle_count,
             preprocess_probes=s.preprocess_probes,
-            update_delete_calls=len(session.touched),
+            update_delete_calls=len(sg.touched),
             update_pair_queries=sg.build_probes,
             query_calls_total=sg.query_probes,
             query_calls_max=most,
         )
     else:  # bf
         active_after = (p.on_mask & ~mask_of(batch.deactivate)) | mask_of(batch.activate)
-        ref = BruteForceReference(g, active_after)
+        oracle = make_oracle("bruteforce", g, active_after)
         t1 = t2 = time.perf_counter()
-        report.results, _ = _run_queries(queries, ref.connected)
+        report.results, _ = _run_queries(queries, oracle.query)
     t3 = time.perf_counter()
 
     errors = report.results.count("E")
@@ -208,12 +207,11 @@ def cmd_bench(args) -> int:
                     print(f"error: no vertex is active after a batch of size {size}, nothing to query",
                           file=sys.stderr)
                     return 1
-                session = fd_update(s, (), batch)
-                sg = session.supergraph
-                pushes.append(len(session.touched))
+                sg = fd_update(s, (), batch)
+                pushes.append(len(sg.touched))
                 pair_counts.append(sg.build_probes)
                 picks = [(rng.choice(alive), rng.choice(alive)) for _ in range(args.queries)]
-                answers, most = _run_queries(picks, partial(fd_query, s, session), sg)
+                answers, most = _run_queries(picks, partial(fd_query, s, sg), sg)
                 if most > 1 + 2 * size:
                     print(f"error: query used {most} oracle calls, bound {1 + 2 * size}", file=sys.stderr)
                     return 1
@@ -225,7 +223,7 @@ def cmd_bench(args) -> int:
                 answers_by_key[key] = answers
                 call_means.append(sg.query_probes / len(picks) if picks else 0.0)
                 call_max = max(call_max, most)
-                fd_rollback(s, session)
+                fd_rollback(s, sg)
             formula_pairs = size * (size - 1) // 2
             formula_deletes = 1 + size + formula_pairs
             if any(x != formula_deletes for x in pushes) or any(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 import sensconn.connectivity_oracle as oracle_mod
-from sensconn.graph_core import load_graph
+from sensconn.graph_core import Graph, StatePartition, load_graph
 
 settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
@@ -34,3 +34,11 @@ def p5():
 def mixed():
     """Active path 0-1-2-3-4 plus inactive vertex 5 wired to both ends."""
     return load_graph((FIXTURES / "mixed.graph").read_text())
+
+
+@pytest.fixture
+def three_hubs():
+    """Inactive 0..6 around active hubs 7, 8, 9: the batch of all seven
+    splits into {0, 6} (hub 7), {1, 5} (hub 8) and {2, 3, 4} (hub 9)."""
+    g = Graph.from_edges(10, [(0, 7), (6, 7), (1, 8), (5, 8), (2, 9), (3, 9), (4, 9)])
+    return g, StatePartition.from_off(10, range(7))

@@ -97,7 +97,7 @@ def test_exact_counter_bounds(exhaustive_report, random_report):
         assert sg.build_probes == size * (size - 1) // 2
         a = fd_update(s, [10, 11], batch)
         assert len(a.touched) == 1 + size + size * (size - 1) // 2
-        assert a.supergraph.build_probes == size * (size - 1) // 2
+        assert a.build_probes == size * (size - 1) // 2
         fd_rollback(s, a)
     total = suites["counters"].checked + random_report["counters"].checked
     print(f"PASS exact counter bounds: {total} assertions, 0 violations")
@@ -141,6 +141,6 @@ def test_desk_scale_build():
     a = fd_update(s, [], list(p.off_vertices[:4]))
     u = next(v for v in range(500) if p.is_on(v))
     fd_query(s, a, u, p.off_vertices[0])
-    assert a.supergraph.query_probes <= 1 + 2 * 4
+    assert a.query_probes <= 1 + 2 * 4
     fd_rollback(s, a)
     print(f"PASS desk-scale build: 466 oracles on G(500, 0.02) in {elapsed:.2f}s")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import networkx as nx
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import (
-    BruteForceReference,
     DecrementalOracle,
     make_oracle,
     oracle_names,
@@ -15,10 +15,10 @@ from sensconn.connectivity_oracle import (
 )
 from sensconn.errors import ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import cycle_graph, gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, component_labels
+from sensconn.graph_core import Graph, StatePartition, component_labels, reachable
 from sensconn.verify import connected_by_set, connected_via_component
 
-from reference import brute_connected
+from reference import brute_connected, brute_reach
 from strategies import graphs
 
 FACTORIES = ("rebuild", "bruteforce")
@@ -145,15 +145,13 @@ class TestCosts:
         o = make_oracle(factory, path_graph(6))
         assert o.costs.t_p > 0
         t_p0 = o.costs.t_p
-        o.query(0, 5)
-        assert o.costs.t_q > 0
         o.delete_batch({3})
         assert o.costs.t_u > 0
-        before = (o.costs.t_u, o.costs.t_q)
+        before = dataclasses.replace(o.costs)
         o.query(0, 2)
-        assert o.costs.t_q >= before[1]
+        assert o.costs == before  # a query writes nothing
         o.reset()
-        assert (o.costs.t_u, o.costs.t_q) == (0, 0)
+        assert o.costs.t_u == 0
         assert o.costs.t_p == t_p0
 
     def test_space_recorded(self):
@@ -244,11 +242,11 @@ class TestSharedLabeling:
 
     @staticmethod
     def assert_matches_reference(o, active_mask):
-        ref = BruteForceReference(o.graph, active_mask)
         alive = list(iter_bits(active_mask))
         for u in alive:
+            reach = reachable(o.graph, active_mask, u)
             for v in alive:
-                assert o.query(u, v) == ref.connected(u, v), (u, v)
+                assert o.query(u, v) == (v in reach), (u, v)
 
     def augmented(self, g, base_mask, extras):
         base = make_oracle("rebuild", g, base_mask)
@@ -316,7 +314,7 @@ class TestSharedLabeling:
         assert make_oracle(factory, g, mask_of([0, 1, 2]), base=base).query(0, 2) is True
 
 
-class TestBruteForceReference:
+class TestReachable:
     def test_matches_independent_bfs(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -324,15 +322,12 @@ class TestBruteForceReference:
             g = gnp_graph(n, 0.3, rng)
             active_bits = rng.getrandbits(n)
             active = set(iter_bits(active_bits))
-            ref = BruteForceReference(g, active_bits)
             for u in active:
-                for v in active:
-                    assert ref.connected(u, v) == brute_connected(g, active, u, v)
+                assert reachable(g, active_bits, u) == brute_reach(g, active, u)
 
     def test_inactive_endpoint_rejected(self):
-        ref = BruteForceReference(path_graph(3), mask_of([0, 1]))
         with pytest.raises(QueryEndpointError):
-            ref.connected(0, 2)
+            reachable(path_graph(3), mask_of([0, 1]), 2)
 
 
 class TestConnectedViaComponent:

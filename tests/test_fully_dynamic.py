@@ -20,6 +20,7 @@ from sensconn.fully_dynamic_sensitivity import (
     fd_rollback,
     fd_update,
 )
+from sensconn.incremental_sensitivity import build_incremental, incremental_update
 from sensconn.verify import connected_via_component
 
 from reference import brute_connected
@@ -70,16 +71,16 @@ class TestUpdate:
         g, p = p5
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [], [2])
-        assert a.supergraph.nodes == (2,)
-        assert a.supergraph.edges == ()
+        assert tuple(a.comp) == (2,)
+        assert a.edges == ()
         assert len(a.touched) == 2
-        assert a.supergraph.build_probes == 0
+        assert a.build_probes == 0
 
     def test_mixed_batch(self, mixed):
         g, p = mixed
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
-        assert a.supergraph.nodes == (5,)
+        assert tuple(a.comp) == (5,)
         assert len(a.touched) == 2
 
     def test_bridge_dies_with_its_component(self):
@@ -91,10 +92,10 @@ class TestUpdate:
         assert connected_via_component(g, survivors, 3, 4) is False
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [3, 4])
-        assert a.supergraph.edges == ()
+        assert a.edges == ()
         fd_rollback(s, a)
         b = fd_update(s, [], [3, 4])
-        assert b.supergraph.edges == ((3, 4),)
+        assert b.edges == ((3, 4),)
 
     def test_counter_formulas(self):
         rng = random.Random(12)
@@ -105,8 +106,8 @@ class TestUpdate:
             batch = list(range(size))
             a = fd_update(s, [8, 9], batch)
             assert len(a.touched) == 1 + size + pairs_of(size)
-            assert a.supergraph.build_probes == pairs_of(size)
-            assert a.supergraph.query_probes == 0  # pair queries count in build_probes
+            assert a.build_probes == pairs_of(size)
+            assert a.query_probes == 0  # pair queries count in build_probes
             fd_rollback(s, a)
 
     def test_second_update_requires_rollback(self, p5):
@@ -168,7 +169,7 @@ class TestUpdate:
                 for u, v in itertools.combinations(sorted(off), 2)
                 if connected_via_component(g, survivors, u, v)
             }
-            assert set(a.supergraph.edges) == expected
+            assert set(a.edges) == expected
             fd_rollback(s, a)
 
 
@@ -246,7 +247,7 @@ class TestInactiveHub:
         g = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
         p = StatePartition.from_off(leaves + 1, [0, 1])
         s = build_fully_dynamic(g, p)
-        hub_oracles = (s.single[0], s.pairs[frozenset((0, 1))])
+        hub_oracles = (s.single[0], s.pairs[0, 1])
         for o in hub_oracles:
             assert o.costs.t_p <= 3 * leaves
         a = fd_update(s, [2], [0, 1])
@@ -278,10 +279,9 @@ class TestQuery:
         g, p = p5
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [1], [])
-        sg = a.supergraph
-        before = sg.query_probes
+        before = a.query_probes
         assert fd_query(s, a, 0, 3) is False
-        assert sg.query_probes - before == 1
+        assert a.query_probes - before == 1
 
     def test_batch_endpoints(self, mixed):
         g, p = mixed
@@ -307,12 +307,12 @@ class TestQuery:
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
         assert fd_query(s, a, 0, 4) is True
-        probes = a.supergraph.query_probes
+        probes = a.query_probes
         assert probes > 0
         for u, v in ((2, 0), (0, 77), (-1, 4)):
             with pytest.raises(QueryEndpointError):
                 fd_query(s, a, u, v)
-        assert a.supergraph.query_probes == probes
+        assert a.query_probes == probes
 
     def test_stale_handle_rejected(self, p5):
         g, p = p5
@@ -336,10 +336,31 @@ class TestQuery:
             alive = sorted(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(batch)))
             for u in alive:
                 for v in alive:
-                    before = a.supergraph.query_probes
+                    before = a.query_probes
                     fd_query(s, a, u, v)
-                    assert a.supergraph.query_probes - before <= 1 + 2 * len(batch)
+                    assert a.query_probes - before <= 1 + 2 * len(batch)
             fd_rollback(s, a)
+
+
+class TestRecord:
+    def test_fd_record_holds_the_batch(self, three_hubs):
+        g, p = three_hubs
+        s = build_fully_dynamic(g, p)
+        a = fd_update(s, [8], [6, 0, 5])
+        assert a.deactivated == frozenset({8})
+        assert a.touched == (s.base, s.single[0], s.single[5], s.single[6],
+                             s.pairs[0, 5], s.pairs[0, 6], s.pairs[5, 6])
+        assert all(o.deleted == frozenset({8}) for o in a.touched)
+        assert a.components == ((0, 6), (5,))
+        assert a.comp == {0: 0, 5: 1, 6: 0}
+        fd_rollback(s, a)
+        assert all(o.phase == "fresh" and o.deleted == frozenset() for o in a.touched)
+
+    def test_activation_only_batch_matches_the_incremental_record(self, three_hubs):
+        g, p = three_hubs
+        a = fd_update(build_fully_dynamic(g, p), [], [6, 5, 4, 3, 2, 1, 0])
+        assert a == incremental_update(build_incremental(g, p), range(7))
+        assert len(a.touched) == 1 + 7 + pairs_of(7)
 
 
 class TestRollback:
@@ -347,10 +368,10 @@ class TestRollback:
         g, p = mixed
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
-        edges = a.supergraph.edges
+        edges = a.edges
         fd_rollback(s, a)
         b = fd_update(s, [2], [5])
-        assert b.supergraph.edges == edges
+        assert b.edges == edges
 
     def test_reset_calls_equal_delete_calls(self, mixed):
         g, p = mixed
@@ -366,7 +387,7 @@ class TestRollback:
         a = fd_update(s, [1], [2])
         fd_rollback(s, a)
         b = fd_update(s, [], [])
-        assert b.supergraph.nodes == ()
+        assert tuple(b.comp) == ()
         active = set(iter_bits(p.on_mask))
         for u in active:
             for v in active:

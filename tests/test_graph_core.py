@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
-from sensconn.connectivity_oracle import BruteForceReference
 from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
 from sensconn.generators import path_graph, star_graph
 import sensconn.graph_core as graph_core
@@ -255,8 +254,7 @@ class TestReachableMask:
 @pytest.mark.parametrize("call", [
     lambda g, mask: reachable(g, mask, 0),
     lambda g, mask: component_labels(g, mask),
-    lambda g, mask: BruteForceReference(g, mask).connected(0, 3),
-], ids=["reachable", "component_labels", "BruteForceReference.connected"])
+], ids=["reachable", "component_labels"])
 def test_negative_active_mask_rejected(call, mask):
     # bin() of a negative int reads "-0b...": the flags must not be built from it
     with pytest.raises(ContractViolation, match="non-negative"):

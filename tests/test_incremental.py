@@ -83,7 +83,7 @@ class TestUpdate:
     def test_singleton_batch(self, p5):
         g, p = p5
         sg = incremental_update(build_incremental(g, p), [2])
-        assert sg.nodes == (2,)
+        assert tuple(sg.comp) == (2,)
         assert sg.edges == ()
         assert sg.components == ((2,),)
         assert sg.build_probes == 0
@@ -94,7 +94,7 @@ class TestUpdate:
         p = StatePartition.from_off(4, [1, 2])
         sg = incremental_update(build_incremental(g, p), [1, 2])
         assert sg.edges == ((1, 2),)
-        assert sg.k == 1
+        assert len(sg.components) == 1
         assert sg.build_probes == 1
 
     def test_three_unbridged_vertices(self):
@@ -105,7 +105,7 @@ class TestUpdate:
             assert connected_via_component(g, idx.labels, u, v) is False
         sg = incremental_update(idx, [3, 4, 5])
         assert sg.edges == ()
-        assert sg.k == 3
+        assert len(sg.components) == 3
         assert sg.build_probes == pairs_of(3)
 
     def test_probe_count_is_the_pair_formula(self):
@@ -138,6 +138,21 @@ class TestUpdate:
                 if connected_via_component(g, idx.labels, u, v)
             }
             assert set(sg.edges) == expected
+
+
+class TestRecord:
+    def test_components_numbered_by_smallest_member(self, three_hubs):
+        g, p = three_hubs
+        sg = incremental_update(build_incremental(g, p), [6, 5, 4, 3, 2, 1, 0])
+        assert sg.components == ((0, 6), (1, 5), (2, 3, 4))
+        assert sg.comp == {0: 0, 1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 0}
+        assert list(sg.comp) == sorted(sg.comp)
+
+    def test_no_deactivations_and_no_oracles(self, p5):
+        g, p = p5
+        sg = incremental_update(build_incremental(g, p), [2])
+        assert sg.deactivated == frozenset()
+        assert sg.touched == ()
 
 
 class TestQuery:

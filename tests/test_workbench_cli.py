@@ -16,6 +16,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+P5_HEAD = "n=5 m=4 n_on=4 n_off=1 deactivations=0 activations=1 batch_size=1 queries=3"
+MIXED_HEAD = "n=6 m=6 n_on=5 n_off=1 deactivations=1 activations=1 batch_size=2 queries=4"
+# (fixture, algo) -> exit code and every report line but the wall_* timings
+REPORTS = {
+    ("p5", "inc"): (0, f"algorithm=inc oracle=- {P5_HEAD} preprocess_edge_probes=4 preprocess_or_words=2 "
+                       "update_pair_probes=0 query_probes_total=4 query_probes_max=2 errors=0 results=111"),
+    ("p5", "fd"): (0, f"algorithm=fd oracle=rebuild {P5_HEAD} preprocess_oracle_count=2 preprocess_probes=17 "
+                      "update_delete_calls=2 update_pair_queries=0 query_calls_total=7 query_calls_max=3 "
+                      "errors=0 results=111"),
+    ("p5", "bf"): (0, f"algorithm=bf oracle=- {P5_HEAD} errors=0 results=111"),
+    ("mixed", "fd"): (3, f"algorithm=fd oracle=rebuild {MIXED_HEAD} preprocess_oracle_count=2 "
+                         "preprocess_probes=22 update_delete_calls=2 update_pair_queries=0 "
+                         "query_calls_total=7 query_calls_max=3 errors=1 results=111E"),
+    ("mixed", "bf"): (3, f"algorithm=bf oracle=- {MIXED_HEAD} errors=1 results=111E"),
+}
+
+
 class TestRun:
     def test_bridged_path(self, capsys):
         code, out, _ = run_cli(
@@ -149,6 +166,26 @@ class TestRun:
         assert reports[0] == reports[1]
         assert "results=111E" in reports[0]
         assert any(l.startswith("update_delete_calls=") for l in reports[0])
+
+    @pytest.mark.parametrize("fixture, algo", list(REPORTS), ids=[f"{f}-{a}" for f, a in REPORTS])
+    def test_report_pins_every_counter(self, capsys, tmp_path, fixture, algo):
+        expected_code, expected = REPORTS[fixture, algo]
+        path = tmp_path / "report.txt"
+        code, out, _ = run_cli(
+            capsys, "run",
+            "--graph", str(FIXTURES / f"{fixture}.graph"),
+            "--update", str(FIXTURES / f"{fixture}.update"),
+            "--query", str(FIXTURES / f"{fixture}.query"),
+            "--algo", algo,
+            "--report", str(path),
+        )
+        assert code == expected_code
+        results = expected.rpartition("results=")[2]
+        assert out == "".join(f"{r}\n" for r in results)
+        lines = path.read_text().splitlines()
+        assert [l for l in lines if not l.startswith("wall_")] == expected.split()
+        assert [l.partition("=")[0] for l in lines if l.startswith("wall_")] == [
+            "wall_preprocess_s", "wall_update_s", "wall_query_s"]
 
 
 class TestVerifyCommand:
