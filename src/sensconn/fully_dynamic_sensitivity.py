@@ -204,8 +204,8 @@ class DoublingFamily:
         return self.structures[self.level_for(d)]
 
     def dispatch_update(self, deactivate, activate) -> tuple[int, SuperGraph]:
-        size = len(set(deactivate)) + len(set(activate))
-        cap = self.level_for(size)
+        # a vertex on both sides counts once, so fd_update reports the overlap
+        cap = self.level_for(len(set(deactivate) | set(activate)))
         return cap, fd_update(self.structures[cap], deactivate, activate)
 
 

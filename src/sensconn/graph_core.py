@@ -9,10 +9,13 @@ Graph file format (UTF-8 text, lines starting with '#' are ignored anywhere):
     OFF k
     v1 v2 ... vk <- k initially inactive vertices, whitespace/newline separated
 
-Update file: one token per line, ``+v`` activates v, ``-v`` deactivates v.
-Query file: one ``u v`` pair per line.
+Update file: tokens ``+v`` (activates v) and ``-v`` (deactivates v).
+Query file: vertex ids read in pairs ``u v``; an odd count is an error.
 
-Every number in these formats is written in ASCII digits only.
+All three formats are whitespace-separated tokens in any line layout, so
+``+1 -2\n+3`` is one update and ``0\n4 1\n3`` the queries (0, 4), (1, 3);
+a line break only ends a ``#`` comment and numbers errors. Every number is
+written in ASCII digits only.
 """
 
 from __future__ import annotations

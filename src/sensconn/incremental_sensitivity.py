@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bits import has_bit, iter_bits, word_count
+from .bits import has_bit, word_count
 from .connectivity_oracle import DecrementalOracle
 from .errors import QueryEndpointError
 from .graph_core import Graph, StatePartition, UpdateBatch, component_labels
@@ -30,7 +30,6 @@ from .union_find import UnionFind
 class IncrementalIndex:
     """Preprocessed bit arrays for one graph and partition."""
 
-    graph: Graph
     partition: StatePartition
     labels: tuple[int, ...]  # base active component per vertex, -1 if inactive
     comp_adj: tuple[int, ...]  # per component: mask over dense off indices
@@ -41,53 +40,43 @@ class IncrementalIndex:
     build_or_words: int
 
 
-def _direct_off_masks(g: Graph, p: StatePartition) -> tuple[list[int], int]:
-    """Per inactive vertex, the mask of its inactive neighbors (dense indices)."""
-    masks = []
-    probes = 0
-    for u in p.off_vertices:
-        mk = 0
-        for w in g.adj[u]:
-            probes += 1
-            if not p.is_on(w):
-                mk |= 1 << p.off_index[w]
-        masks.append(mk)
-    return masks, probes
-
-
 def build_incremental(g: Graph, p: StatePartition) -> IncrementalIndex:
     """Build the component/off-vertex adjacency arrays for one partition.
 
-    One edge pass fills the component-side arrays; the off-vertex reach masks
-    are then OR-combinations of those, plus direct edges between inactive
-    vertices, with each vertex's own bit cleared. ``build_or_words`` counts
-    the word-level OR work exactly.
+    One pass over each inactive vertex's adjacency fills ``comp_adj``, the
+    vertex's direct inactive neighbours and the set of components it
+    touches; a neighbour is inactive exactly when its label is negative.
+    Each reach mask is then the OR of its touched components' masks and its
+    direct neighbours, with the vertex's own bit cleared.
+    ``build_edge_probes`` counts the adjacency entries read, and
+    ``build_or_words`` the word-level OR work, exactly.
     """
     labels, count = component_labels(g, p.on_mask)
-    n_off = p.n_off
+    off_index = p.off_index
     comp_adj = [0] * count
-    touch = [0] * n_off
+    rows = []  # per dense off index: (direct inactive neighbours, touched components)
     probes = 0
     for j, u in enumerate(p.off_vertices):
+        direct = 0
+        cs = set()
         for w in g.adj[u]:
-            probes += 1
             c = labels[w]
             if c >= 0:
                 comp_adj[c] |= 1 << j
-                touch[j] |= 1 << c
-    direct, direct_probes = _direct_off_masks(g, p)
-    probes += direct_probes
-    words = word_count(n_off)
+                cs.add(c)
+            else:
+                direct |= 1 << off_index[w]
+        probes += len(g.adj[u])
+        rows.append((direct, cs))
+    words = word_count(p.n_off)
     or_words = 0
     off_reach = []
-    for j in range(n_off):
-        reach = direct[j]
-        for c in iter_bits(touch[j]):
+    for j, (reach, cs) in enumerate(rows):
+        for c in cs:
             reach |= comp_adj[c]
-            or_words += words
+        or_words += words * len(cs)
         off_reach.append(reach & ~(1 << j))
     return IncrementalIndex(
-        graph=g,
         partition=p,
         labels=tuple(labels),
         comp_adj=tuple(comp_adj),

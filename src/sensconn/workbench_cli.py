@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .bits import iter_bits, mask_of
+from .bits import mask_of
 from .connectivity_oracle import make_oracle, oracle_names
 from .errors import ContractViolation, ParseError, QueryEndpointError, SensConnError
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
@@ -186,6 +186,7 @@ def cmd_bench(args) -> int:
     g, p = load_graph(_read(args.graph))
     sizes = [parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok]
     factories = args.oracle or oracle_names()
+    on = [v for v in range(g.n) if p.is_on(v)]
     rows = []
     answers_by_key: dict[tuple, list[bool]] = {}
     for factory in factories:
@@ -202,7 +203,7 @@ def cmd_bench(args) -> int:
             call_max = 0
             for rep in range(args.repeats):
                 batch = rng.sample(p.off_vertices, size)
-                alive = list(iter_bits(p.on_mask | mask_of(batch)))
+                alive = sorted(on + batch)  # active after the batch, ascending
                 if args.queries and not alive:
                     print(f"error: no vertex is active after a batch of size {size}, nothing to query",
                           file=sys.stderr)

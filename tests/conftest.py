@@ -5,11 +5,19 @@ from hypothesis import settings
 
 import sensconn.connectivity_oracle as oracle_mod
 from sensconn.graph_core import Graph, StatePartition, load_graph
+from sensconn.incremental_sensitivity import build_incremental
 
 settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def index_without_off_edges(g, p):
+    """A broken activation index: the one of ``g`` without its edges between
+    two inactive vertices, so the direct-edge rule is lost."""
+    kept = [(u, v) for u, v in g.edges() if p.is_on(u) or p.is_on(v)]
+    return build_incremental(Graph.from_edges(g.n, kept), p)
 
 
 @pytest.fixture

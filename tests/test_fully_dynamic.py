@@ -458,6 +458,12 @@ class TestDoubling:
         with pytest.raises(CapacityError):
             fam.dispatch_update([0, 1, 3], [])
 
+    def test_dispatch_reports_a_vertex_on_both_sides(self):
+        fam = build_doubling(path_graph(6), StatePartition.from_off(6, [2, 4]), 2)
+        with pytest.raises(ContractViolation, match=r"vertices \[1\] appear on both sides of the batch"):
+            fam.dispatch_update([1], [1, 4])
+        assert fam.structure_for(2).session is None
+
     def test_invalid_capacity(self, p5):
         g, p = p5
         with pytest.raises(ContractViolation):

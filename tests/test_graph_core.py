@@ -98,6 +98,23 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match="line 1: vertex count 9 exceeds the cap of 8"):
             load_graph("9 1\n0 99\nOFF 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n0 9\nx 1\nOFF 0\n", "line 2: vertex id 9 outside [0, 3)"),
+            ("3 2\n0 x\n9 1\nOFF 0\n", "line 2: expected edge endpoint, got 'x'"),
+            ("3 2\n0 1\n2\n", "line 3: unexpected end of input, expected edge endpoint"),
+            # end of input names the last content line, not the comment after it
+            ("3 1\n0 1\n# c\n", "line 2: unexpected end of input, expected 'OFF' header"),
+            ("# only\n\n", "line 1: unexpected end of input, expected vertex count"),
+            ("3 0\nOFF 2\n5 5\n", "line 3: unknown vertex 5 in OFF list"),
+        ],
+    )
+    def test_first_fault_in_reading_order_is_reported(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            load_graph(text)
+        assert str(exc.value) == message
+
     def test_roundtrip_fixture(self, p5):
         g, p = p5
         assert load_graph(dump_graph(g, p)) == (g, p)
@@ -266,6 +283,9 @@ class TestUpdateAndQueryFiles:
         down, up = parse_update_text("+2\n-0\n# note\n+4\n", n=5)
         assert down == [0] and up == [2, 4]
 
+    def test_update_tokens_in_any_line_layout(self):
+        assert parse_update_text("+1 -2\n+3", 5) == ([2], [1, 3])
+
     def test_update_bad_token(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_update_text("2\n", n=5)
@@ -285,6 +305,9 @@ class TestUpdateAndQueryFiles:
 
     def test_query_pairs(self):
         assert parse_query_text("0 4\n1 3\n") == [(0, 4), (1, 3)]
+
+    def test_query_pairs_in_any_line_layout(self):
+        assert parse_query_text("0\n4 1\n3\n") == [(0, 4), (1, 3)]
 
     @pytest.mark.parametrize("text", ["0 \u0663\n", "0 1_0\n", "-1 0\n"])
     def test_query_ids_are_ascii_digits_only(self, text):

@@ -1,4 +1,4 @@
-import sensconn.incremental_sensitivity as inc_mod
+import sensconn.verify as verify_mod
 from sensconn.graph_core import StatePartition
 from sensconn.verify import (
     VerifyConfig,
@@ -10,6 +10,8 @@ from sensconn.verify import (
     random_suites,
     rollback_suite,
 )
+
+from conftest import index_without_off_edges
 
 
 class TestEnumeration:
@@ -66,10 +68,7 @@ class TestSuiteSensitivity:
         """An index built without the direct-edge rule must trip the
         activation-engine suite."""
 
-        def broken(g, p):
-            return [0] * p.n_off, 0
-
-        monkeypatch.setattr(inc_mod, "_direct_off_masks", broken)
+        monkeypatch.setattr(verify_mod, "build_incremental", index_without_off_edges)
         suites = exhaustive_suites(n=3, batch_max=3)
         assert suites["incremental"].mismatches >= 1
         assert suites["incremental"].first_counterexample is not None

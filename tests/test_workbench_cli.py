@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+import sensconn.verify as verify_mod
 from sensconn.connectivity_oracle import RebuildOracle, oracle_names, register_oracle
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
 from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, RANDOM_N_MAX, main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, index_without_off_edges
 
 
 def run_cli(capsys, *argv):
@@ -20,7 +21,7 @@ P5_HEAD = "n=5 m=4 n_on=4 n_off=1 deactivations=0 activations=1 batch_size=1 que
 MIXED_HEAD = "n=6 m=6 n_on=5 n_off=1 deactivations=1 activations=1 batch_size=2 queries=4"
 # (fixture, algo) -> exit code and every report line but the wall_* timings
 REPORTS = {
-    ("p5", "inc"): (0, f"algorithm=inc oracle=- {P5_HEAD} preprocess_edge_probes=4 preprocess_or_words=2 "
+    ("p5", "inc"): (0, f"algorithm=inc oracle=- {P5_HEAD} preprocess_edge_probes=2 preprocess_or_words=2 "
                        "update_pair_probes=0 query_probes_total=4 query_probes_max=2 errors=0 results=111"),
     ("p5", "fd"): (0, f"algorithm=fd oracle=rebuild {P5_HEAD} preprocess_oracle_count=2 preprocess_probes=17 "
                       "update_delete_calls=2 update_pair_queries=0 query_calls_total=7 query_calls_max=3 "
@@ -203,9 +204,7 @@ class TestVerifyCommand:
         assert "fully_dynamic: PASS" in out
 
     def test_injected_bug_is_reported(self, capsys, monkeypatch):
-        import sensconn.incremental_sensitivity as inc_mod
-
-        monkeypatch.setattr(inc_mod, "_direct_off_masks", lambda g, p: ([0] * p.n_off, 0))
+        monkeypatch.setattr(verify_mod, "build_incremental", index_without_off_edges)
         code, out, _ = run_cli(capsys, "verify", "--mode", "exhaustive", "--n-max", "3")
         assert code == 1
         assert "incremental: FAIL" in out
