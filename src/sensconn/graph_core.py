@@ -84,6 +84,8 @@ class StatePartition:
 
     @classmethod
     def from_off(cls, n: int, off: Iterable[int]) -> "StatePartition":
+        if n < 0:
+            raise ContractViolation(f"vertex count must be non-negative, got {n}")
         off_sorted = tuple(sorted(set(off)))
         for v in off_sorted:
             if not 0 <= v < n:
@@ -134,6 +136,8 @@ def _active_flags(n: int, active_mask: int) -> str:
     """Character v is "1" iff v is active; bin() writes the highest bit first."""
     if active_mask < 0:
         raise ContractViolation(f"active mask must be non-negative, got {active_mask}")
+    if active_mask >> n:
+        raise ContractViolation(f"active mask names vertices outside [0, {n})")
     return bin(active_mask)[:1:-1].ljust(n, "0")
 
 
@@ -285,15 +289,27 @@ def parse_int(tok: str, what: str, lineno: int | None = None) -> int:
     return int(tok)
 
 
-def _token_stream(text: str) -> list[tuple[str, int]]:
-    toks = []
+def _tokens(text: str) -> tuple[list[str], list[int]]:
+    """The tokens in reading order and, index for index, their line numbers."""
+    toks: list[str] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        for tok in line.split():
-            toks.append((tok, lineno))
-    return toks
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            toks += parts
+            lines += [lineno] * len(parts)
+    return toks, lines
+
+
+def _past_end(lines: list[int], what: str) -> ParseError:
+    """The error for input that ends early; it names the last content line."""
+    return ParseError(f"unexpected end of input, expected {what}", lines[-1] if lines else 1)
+
+
+def _int_at(toks: list[str], lines: list[int], i: int, what: str) -> int:
+    if i >= len(toks):
+        raise _past_end(lines, what)
+    return parse_int(toks[i], what, lines[i])
 
 
 def load_graph(text: str) -> tuple[Graph, StatePartition]:
@@ -301,57 +317,38 @@ def load_graph(text: str) -> tuple[Graph, StatePartition]:
 
     Duplicate edges collapse, self loops drop. Malformed headers, a vertex
     count above MAX_VERTICES, ids >= n and unknown OFF vertices raise
-    ParseError naming the offending line.
+    ParseError naming the offending line. Tokens are checked as they are
+    read, so of several faults the first in reading order is reported.
     """
-    toks = _token_stream(text)
-    pos = 0
-    last_line = toks[-1][1] if toks else 1
-
-    def take(what: str) -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(toks):
-            raise ParseError(f"unexpected end of input, expected {what}", last_line)
-        tok = toks[pos]
-        pos += 1
-        return tok
-
-    def take_int(what: str) -> tuple[int, int]:
-        tok, lineno = take(what)
-        return parse_int(tok, what, lineno), lineno
-
-    n, lineno = take_int("vertex count")
+    toks, lines = _tokens(text)
+    n = _int_at(toks, lines, 0, "vertex count")
     if n > MAX_VERTICES:
-        raise ParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lineno)
-    m, _ = take_int("edge count")
-
-    edges = []
-    for _ in range(m):
-        u, lu = take_int("edge endpoint")
-        v, lv = take_int("edge endpoint")
-        for x, lx in ((u, lu), (v, lv)):
-            if not 0 <= x < n:
-                raise ParseError(f"vertex id {x} outside [0, {n})", lx)
-        edges.append((u, v))
-
-    kw, lineno = take("'OFF' header")
-    if kw != "OFF":
-        raise ParseError(f"expected 'OFF', got {kw!r}", lineno)
-    k, _ = take_int("inactive vertex count")
-    off = []
-    seen = set()
-    for _ in range(k):
-        v, lineno = take_int("inactive vertex id")
-        if not 0 <= v < n:
-            raise ParseError(f"unknown vertex {v} in OFF list", lineno)
-        if v in seen:
-            raise ParseError(f"duplicate vertex {v} in OFF list", lineno)
-        seen.add(v)
-        off.append(v)
-    if pos < len(toks):
-        tok, lineno = toks[pos]
-        raise ParseError(f"unexpected trailing input {tok!r}", lineno)
-
-    return Graph.from_edges(n, edges), StatePartition.from_off(n, off)
+        raise ParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lines[0])
+    off_at = 2 + 2 * _int_at(toks, lines, 1, "edge count")
+    ids = []
+    for i in range(2, min(off_at, len(toks))):
+        x = parse_int(toks[i], "edge endpoint", lines[i])
+        if x >= n:
+            raise ParseError(f"vertex id {x} outside [0, {n})", lines[i])
+        ids.append(x)
+    if off_at >= len(toks):
+        raise _past_end(lines, "edge endpoint" if off_at > len(toks) else "'OFF' header")
+    if toks[off_at] != "OFF":
+        raise ParseError(f"expected 'OFF', got {toks[off_at]!r}", lines[off_at])
+    stop = off_at + 2 + _int_at(toks, lines, off_at + 1, "inactive vertex count")
+    off: set[int] = set()
+    for i in range(off_at + 2, min(stop, len(toks))):
+        v = parse_int(toks[i], "inactive vertex id", lines[i])
+        if v >= n:
+            raise ParseError(f"unknown vertex {v} in OFF list", lines[i])
+        if v in off:
+            raise ParseError(f"duplicate vertex {v} in OFF list", lines[i])
+        off.add(v)
+    if stop > len(toks):
+        raise _past_end(lines, "inactive vertex id")
+    if stop < len(toks):
+        raise ParseError(f"unexpected trailing input {toks[stop]!r}", lines[stop])
+    return Graph.from_edges(n, zip(ids[::2], ids[1::2])), StatePartition.from_off(n, off)
 
 
 def dump_graph(g: Graph, p: StatePartition) -> str:
@@ -368,7 +365,7 @@ def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
     deactivate: list[int] = []
     activate: list[int] = []
     seen: set[int] = set()
-    for tok, lineno in _token_stream(text):
+    for tok, lineno in zip(*_tokens(text)):
         sign = tok[0]
         if sign not in "+-":
             raise ParseError(f"expected '+v' or '-v', got {tok!r}", lineno)
@@ -386,8 +383,8 @@ def parse_query_text(text: str) -> list[tuple[int, int]]:
     """Parse a query file into (u, v) pairs. Whether an id names a vertex is
     checked per query at run time so every engine reports illegal endpoints
     the same way."""
-    toks = _token_stream(text)
+    toks, lines = _tokens(text)
     if len(toks) % 2 != 0:
-        raise ParseError("dangling query endpoint", toks[-1][1])
-    ids = [parse_int(tok, "vertex id", lineno) for tok, lineno in toks]
+        raise ParseError("dangling query endpoint", lines[-1])
+    ids = [parse_int(tok, "vertex id", lineno) for tok, lineno in zip(toks, lines)]
     return list(zip(ids[::2], ids[1::2]))

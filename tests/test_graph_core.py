@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import operator
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -108,12 +109,66 @@ class TestLoadGraph:
             ("3 1\n0 1\n# c\n", "line 2: unexpected end of input, expected 'OFF' header"),
             ("# only\n\n", "line 1: unexpected end of input, expected vertex count"),
             ("3 0\nOFF 2\n5 5\n", "line 3: unknown vertex 5 in OFF list"),
+            # the out-of-range 7 is read before the bad token or the end after it
+            ("3 1\n7 x\nOFF 0\n", "line 2: vertex id 7 outside [0, 3)"),
+            ("3 1\n7\n", "line 2: vertex id 7 outside [0, 3)"),
         ],
     )
     def test_first_fault_in_reading_order_is_reported(self, text, message):
         with pytest.raises(ParseError) as exc:
             load_graph(text)
         assert str(exc.value) == message
+
+    @given(graphs_with_partition(max_n=12), st.data())
+    def test_corrupted_token_names_its_line(self, gp, data):
+        """One token of a dumped file is corrupted: a non-digit, an id out of
+        range, a repeated OFF id or a deleted token. The error names the line
+        of the first token that cannot be read in its place."""
+        g, p = gp
+        rows = [line.split() for line in dump_graph(g, p).splitlines()]
+        where = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+        off_at = 2 + 2 * g.m  # 'OFF' in reading order; the OFF count follows it
+        ids = [i for i in range(2, len(where)) if i not in (off_at, off_at + 1)]
+        kinds = ["non-digit", "deleted"] + ["out of range"] * bool(ids)
+        kinds += ["duplicate OFF id"] * (p.n_off > 1)
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "deleted":
+            # a missing endpoint or 'OFF' shifts the OFF count under 'OFF'
+            # or 'OFF' into the last endpoint; a missing OFF id ends the input
+            i = data.draw(st.sampled_from([j for j in range(2, len(where)) if j != off_at + 1]))
+            r, c = where[i]
+            del rows[r][c]
+            faulty = where[off_at] if i <= off_at else [w for w in where if w != (r, c)][-1]
+        else:
+            if kind == "non-digit":
+                i = data.draw(st.sampled_from([j for j in range(len(where)) if j != off_at]))
+                tok = data.draw(st.sampled_from(["x", "OFF", "1_0", "-1", "+1", "\u0663", "1.0"]))
+            elif kind == "out of range":
+                i = data.draw(st.sampled_from(ids))
+                tok = str(data.draw(st.integers(g.n, 10**30)))
+            else:
+                i = data.draw(st.integers(off_at + 3, len(where) - 1))
+                r, c = where[data.draw(st.integers(off_at + 2, i - 1))]
+                tok = rows[r][c]
+            faulty = where[i]
+            r, c = faulty
+            rows[r][c] = tok
+        with pytest.raises(ParseError) as exc:
+            load_graph("\n".join(" ".join(row) for row in rows) + "\n")
+        assert exc.value.lineno == faulty[0] + 1, (kind, str(exc.value))
+
+    def test_memory_per_token_is_bounded(self):
+        # one (token, line) tuple per token peaks near 337 B per token, two
+        # flat lists, one of tokens and one of lines, near 269
+        n = 50_000
+        text = dump_graph(path_graph(n), StatePartition.from_off(n, []))
+        tracemalloc.start()
+        try:
+            load_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(text.split()) < 300
 
     def test_roundtrip_fixture(self, p5):
         g, p = p5
@@ -267,15 +322,25 @@ class TestReachableMask:
         assert reachable(g, mask_of(active), 0) == {0, 1}
 
 
-@pytest.mark.parametrize("mask", [-1, -2])
-@pytest.mark.parametrize("call", [
+each_mask_reader = pytest.mark.parametrize("call", [
     lambda g, mask: reachable(g, mask, 0),
     lambda g, mask: component_labels(g, mask),
 ], ids=["reachable", "component_labels"])
+
+
+@pytest.mark.parametrize("mask", [-1, -2])
+@each_mask_reader
 def test_negative_active_mask_rejected(call, mask):
     # bin() of a negative int reads "-0b...": the flags must not be built from it
     with pytest.raises(ContractViolation, match="non-negative"):
         call(path_graph(4), mask)
+
+
+@pytest.mark.parametrize("mask", [0b11111, 0b1000])
+@each_mask_reader
+def test_active_mask_wider_than_the_graph_rejected(call, mask):
+    with pytest.raises(ContractViolation, match=r"^active mask names vertices outside \[0, 3\)$"):
+        call(path_graph(3), mask)
 
 
 class TestUpdateAndQueryFiles:
@@ -320,6 +385,10 @@ class TestUpdateAndQueryFiles:
 
 
 class TestStatePartition:
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ContractViolation, match="vertex count must be non-negative, got -1"):
+            StatePartition.from_off(-1, [])
+
     def test_is_on_is_false_outside_the_graph(self, mixed):
         _, p = mixed
         assert [p.is_on(v) for v in (-1, 0, 5, 6, 10**9)] == [False, True, False, False, False]
