@@ -1,17 +1,18 @@
 """Fully dynamic engine: batches may deactivate and activate vertices.
 
-Preprocessing builds a decremental oracle over the base active graph and over
-every one- and two-vertex augmentation of it; each is the input graph
-restricted to its own active vertex mask, so every oracle speaks the original
-vertex ids. An update pushes the deactivations into the oracles it will
-actually consult, then builds the bridge graph over the activated vertices
-from pair-oracle queries. That bridge graph (SuperGraph) is the batch's only
+Preprocessing builds a decremental oracle over the base active graph and,
+with ``augment``, one over every one- and two-vertex augmentation of it; each
+is the input graph restricted to its active vertices, so every oracle speaks
+the original vertex ids. An update pushes the deactivations into the oracles
+it will actually consult, then builds the bridge graph over the activated
+vertices from pair-oracle queries. That bridge graph (SuperGraph) is the batch's only
 record: it also holds the deactivated vertices and the pushed oracles, which
 rollback resets. A query needs at most 1 + 2d oracle queries and counts them
 on that bridge graph.
 
-Every augmented oracle gets the base oracle as its ``base``; with the
-``rebuild`` factory the whole family then shares one survivor labeling, made
+The base oracle is the family's root: it alone holds the active set, and an
+augmented oracle holds only its one or two extra vertices. With the
+``rebuild`` factory the whole family also shares one survivor labeling, made
 once at build and split locally by each update that deactivates anything.
 
 Also provides the capacity-doubling wrapper that routes an update of size d
@@ -58,16 +59,12 @@ def build_fully_dynamic(
 ) -> FullyDynamicStructure:
     """Build oracles over the base active graph and all its augmentations.
 
-    Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles, all over ``g``
-    with different active masks; the augmented ones get the base oracle as
-    their ``base``.
+    Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles, all over ``g``;
+    the augmented ones are the base oracle's ``augment``s.
     """
     base = make_oracle(oracle, g, p.on_mask, d=d)
-    single = {u: make_oracle(oracle, g, p.on_mask | 1 << u, d=d, base=base) for u in p.off_vertices}
-    pairs = {
-        (a, b): make_oracle(oracle, g, p.on_mask | 1 << a | 1 << b, d=d, base=base)
-        for a, b in combinations(p.off_vertices, 2)
-    }
+    single = {u: base.augment((u,)) for u in p.off_vertices}
+    pairs = {ab: base.augment(ab) for ab in combinations(p.off_vertices, 2)}
     probes = base.costs.t_p
     probes += sum(o.costs.t_p for o in single.values())
     probes += sum(o.costs.t_p for o in pairs.values())

@@ -132,7 +132,7 @@ class UpdateBatch:
         return cls(down, up)
 
 
-def _active_flags(n: int, active_mask: int) -> str:
+def active_flags(n: int, active_mask: int) -> str:
     """Character v is "1" iff v is active; bin() writes the highest bit first."""
     if active_mask < 0:
         raise ContractViolation(f"active mask must be non-negative, got {active_mask}")
@@ -152,7 +152,7 @@ def component_labels(g, active_mask: int) -> tuple[list[int], int]:
     n, adj = g.n, g.adj
     labels = [-1] * n
     count = 0
-    on = _active_flags(n, active_mask)
+    on = active_flags(n, active_mask)
     for s in range(n):
         if on[s] != "1" or labels[s] >= 0:
             continue
@@ -267,7 +267,7 @@ def reachable(g, active_mask: int, source: int) -> set[int]:
     a depth-first search of its own over ``adj``: the reference calls neither
     ``component_labels`` nor ``split_labels``, which it is used to check."""
     n, adj = g.n, g.adj
-    on = _active_flags(n, active_mask)
+    on = active_flags(n, active_mask)
     if not (0 <= source < n and on[source] == "1"):
         raise QueryEndpointError(f"vertex {source} is not active")
     reach = {source}
@@ -382,9 +382,10 @@ def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
 def parse_query_text(text: str) -> list[tuple[int, int]]:
     """Parse a query file into (u, v) pairs. Whether an id names a vertex is
     checked per query at run time so every engine reports illegal endpoints
-    the same way."""
+    the same way. Each token is read before the count's parity is checked,
+    so of several faults the first in reading order is reported."""
     toks, lines = _tokens(text)
-    if len(toks) % 2 != 0:
-        raise ParseError("dangling query endpoint", lines[-1])
     ids = [parse_int(tok, "vertex id", lineno) for tok, lineno in zip(toks, lines)]
+    if len(ids) % 2 != 0:
+        raise ParseError("dangling query endpoint", lines[-1])
     return list(zip(ids[::2], ids[1::2]))

@@ -223,9 +223,9 @@ class TestConformance:
 
 
 class TestSharedLabeling:
-    """A rebuild oracle built over a base rebuild oracle reuses the base's
-    labeling when the base holds the same batch, and must answer right
-    whatever the base holds."""
+    """A rebuild oracle augmented from a root reuses the root's labeling when
+    the root holds the same batch, and must answer right whatever the root
+    holds."""
 
     @staticmethod
     def instances(seed, trials=40):
@@ -250,8 +250,7 @@ class TestSharedLabeling:
 
     def augmented(self, g, base_mask, extras):
         base = make_oracle("rebuild", g, base_mask)
-        o = make_oracle("rebuild", g, base_mask | mask_of(extras), base=base)
-        return base, o
+        return base, base.augment(extras)
 
     def test_fresh_answers(self):
         for _, g, base_mask, extras, _ in self.instances(1):
@@ -289,29 +288,65 @@ class TestSharedLabeling:
             o.delete_batch(mine)
             self.assert_matches_reference(o, o.active & ~mask_of(mine))
 
-    def test_an_augmented_base_is_not_reused(self):
-        # base -> one extra -> two extras: top's base has a base of its own,
-        # so top labels its own survivors at build and splits that labeling
-        # on every push
+    def test_an_augment_of_an_augment_reuses_the_root(self):
+        # base -> one extra -> two extras: top joins base's family, so it
+        # extends base's labels at build instead of labeling its own
         for _, g, base_mask, extras, batch in self.instances(5):
             base = make_oracle("rebuild", g, base_mask)
-            mid = make_oracle("rebuild", g, base_mask | 1 << extras[0], base=base)
-            top = make_oracle("rebuild", g, base_mask | mask_of(extras), base=mid)
-            assert top.costs.t_p == g.n + 2 * g.m
+            mid = base.augment(extras[:1])
+            top = mid.augment(extras[1:])
+            assert top.root is base and top.extras == tuple(extras)
+            assert top.active == base_mask | mask_of(extras)
+            assert top._fresh[0] is base._fresh[0]
             self.assert_matches_reference(top, top.active)
             for o in (base, mid, top):
                 o.delete_batch(batch)
+            assert top._labels is base._labels
             self.assert_matches_reference(top, top.active & ~mask_of(batch))
 
     @pytest.mark.parametrize("factory", FACTORIES)
-    def test_base_must_be_a_subset_over_the_same_graph(self, factory):
+    def test_augment_takes_inactive_ids(self, factory):
         g = path_graph(4)
         base = make_oracle(factory, g, mask_of([0, 1]))
-        with pytest.raises(ContractViolation):
-            make_oracle(factory, g, mask_of([1, 2]), base=base)
-        with pytest.raises(ContractViolation):
-            make_oracle(factory, path_graph(4), mask_of([0, 1, 2]), base=base)
-        assert make_oracle(factory, g, mask_of([0, 1, 2]), base=base).query(0, 2) is True
+        for extras in ([1, 2], [2, 2]):  # an active id, a repeated id
+            with pytest.raises(ContractViolation, match="not an inactive vertex"):
+                base.augment(extras)
+        o = base.augment([2])
+        with pytest.raises(ContractViolation, match="cannot augment with 2"):
+            o.augment([2])
+        assert o.query(0, 2) is True
+        assert o.augment([3]).query(0, 3) is True
+
+
+class TestIdsOutsideTheGraph:
+    """Ids below 0 and from n on are rejected by a root and by an augmented
+    oracle alike. Path 0-1-2-3 with 2 inactive in the root: the last
+    vertex is active, so an unchecked -1 would wrap to it."""
+
+    @pytest.fixture(params=FACTORIES)
+    def family(self, request):
+        root = make_oracle(request.param, path_graph(4), mask_of([0, 1, 3]))
+        return root, root.augment([2])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_query(self, family, bad):
+        for o in family:
+            for u, v in ((bad, 0), (0, bad)):
+                with pytest.raises(QueryEndpointError, match=f"^vertex {bad} is not active"):
+                    o.query(u, v)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_delete_batch(self, family, bad):
+        for o in family:
+            with pytest.raises(ContractViolation, match=f"^cannot delete {bad}:"):
+                o.delete_batch({bad})
+            assert o.phase == "fresh"
+
+    @pytest.mark.parametrize("bad", [-1, 4, 0, 3])
+    def test_augment(self, family, bad):
+        for o in family:
+            with pytest.raises(ContractViolation, match=f"^cannot augment with {bad}:"):
+                o.augment([bad])
 
 
 class TestReachable:

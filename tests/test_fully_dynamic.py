@@ -8,6 +8,7 @@ import sensconn.connectivity_oracle as oracle_mod
 from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     RebuildOracle,
+    make_oracle,
     register_oracle,
 )
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
@@ -521,3 +522,28 @@ class TestMemory:
             tracemalloc.stop()
         assert answers == [True, False, False, True]
         assert peak <= 1_000 * n, f"peak {peak / n:.0f} B/vertex"
+
+    @staticmethod
+    def bytes_per_augmented_oracle(n, n_off=20, seed=7):
+        """Bytes the augmented oracles of a rebuild family retain, per
+        oracle: the family's retained bytes less those of its root alone.
+        The graph has 2n random edges, average degree about 4."""
+        rng = random.Random(seed)
+        g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)))
+        p = StatePartition.from_off(n, rng.sample(range(n), n_off))
+        retained = []
+        for build in (lambda: make_oracle("rebuild", g, p.on_mask), lambda: build_fully_dynamic(g, p)):
+            tracemalloc.start()
+            try:
+                kept = build()
+                retained.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            del kept
+        return (retained[1] - retained[0]) / (n_off + pairs_of(n_off))
+
+    def test_an_augmented_oracle_does_not_grow_with_n(self):
+        """An augmented oracle keeps its extras and reads the root's active
+        set, so it holds nothing as wide as the graph."""
+        small, large = self.bytes_per_augmented_oracle(2_000), self.bytes_per_augmented_oracle(50_000)
+        assert large <= 1.5 * small, f"{small:.0f} B at n = 2,000, {large:.0f} B at n = 50,000"

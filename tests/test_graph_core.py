@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
+from sensconn.connectivity_oracle import make_oracle
 from sensconn.errors import ContractViolation, ParseError, QueryEndpointError
 from sensconn.generators import path_graph, star_graph
 import sensconn.graph_core as graph_core
@@ -325,7 +326,9 @@ class TestReachableMask:
 each_mask_reader = pytest.mark.parametrize("call", [
     lambda g, mask: reachable(g, mask, 0),
     lambda g, mask: component_labels(g, mask),
-], ids=["reachable", "component_labels"])
+    lambda g, mask: make_oracle("rebuild", g, mask),
+    lambda g, mask: make_oracle("bruteforce", g, mask),
+], ids=["reachable", "component_labels", "rebuild", "bruteforce"])
 
 
 @pytest.mark.parametrize("mask", [-1, -2])
@@ -380,8 +383,12 @@ class TestUpdateAndQueryFiles:
             parse_query_text(text)
 
     def test_query_dangling_endpoint(self):
-        with pytest.raises(ParseError, match="dangling"):
+        with pytest.raises(ParseError, match="^line 2: dangling query endpoint$"):
             parse_query_text("0 4\n1\n")
+
+    def test_query_bad_id_before_an_odd_count(self):
+        with pytest.raises(ParseError, match="^line 1: expected vertex id, got 'x'$"):
+            parse_query_text("0 x\n1\n")
 
 
 class TestStatePartition:
