@@ -61,11 +61,10 @@ class DecrementalOracle(abc.ABC):
     """
 
     name = "abstract"
-    d_dependent = False  # True for implementations sized to a fixed batch capacity
     root: "DecrementalOracle | None" = None  # augment sets it before __init__ runs
     extras: tuple[int, ...] = ()
 
-    def __init__(self, graph, active: int | None = None, d: int | None = None):
+    def __init__(self, graph, active: int | None = None):
         if self.root is None:  # built by make_oracle: the root of a new family
             self.root = self
             self.mask = all_bits(graph.n) if active is None else active
@@ -73,7 +72,6 @@ class DecrementalOracle(abc.ABC):
         else:
             self.on = self.root.on
         self.graph = graph
-        self.capacity = d
         self.costs = OracleCosts()
         self.deleted: frozenset[int] = frozenset()
         self.phase = FRESH
@@ -94,7 +92,7 @@ class DecrementalOracle(abc.ABC):
             grown += (x,)
         o = object.__new__(type(self))
         o.root, o.extras = self.root, grown
-        o.__init__(self.graph, d=self.capacity)
+        o.__init__(self.graph)
         return o
 
     def _has(self, v: int) -> bool:
@@ -155,10 +153,10 @@ def register_oracle(cls):
     return cls
 
 
-def make_oracle(name: str, graph, active: int | None = None, d: int | None = None) -> DecrementalOracle:
+def make_oracle(name: str, graph, active: int | None = None) -> DecrementalOracle:
     """Build the registered oracle ``name`` over ``graph[active]``, the root
     of a new family; ``augment`` builds its members."""
-    return oracle_class(name)(graph, active, d=d)
+    return oracle_class(name)(graph, active)
 
 
 def oracle_class(name: str) -> type[DecrementalOracle]:

@@ -28,4 +28,4 @@ class QueryEndpointError(ContractViolation):
 
 
 class CapacityError(ContractViolation):
-    """Update batch larger than the structure was built for."""
+    """Update batch above the largest level of a doubling family."""

@@ -15,8 +15,9 @@ augmented oracle holds only its one or two extra vertices. With the
 ``rebuild`` factory the whole family also shares one survivor labeling, made
 once at build and split locally by each update that deactivates anything.
 
-Also provides the capacity-doubling wrapper that routes an update of size d
-to the smallest structure built for at least d flips.
+Also provides the doubling wrapper: power-of-two levels 2, 4, ..., 2^l that
+share one structure, so only a batch above the largest level is refused
+(CapacityError).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .connectivity_oracle import DecrementalOracle, make_oracle, oracle_class
+from .connectivity_oracle import DecrementalOracle, make_oracle
 from .errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
 from .graph_core import Graph, StatePartition, UpdateBatch
 from .incremental_sensitivity import SuperGraph, build_supergraph
@@ -40,7 +41,6 @@ class FullyDynamicStructure:
     concurrent queries on one batch answer correctly but may under-count.
     """
 
-    graph: Graph
     partition: StatePartition
     factory: str
     base: DecrementalOracle  # over the base active vertices
@@ -54,22 +54,19 @@ class FullyDynamicStructure:
         return 1 + len(self.single) + len(self.pairs)
 
 
-def build_fully_dynamic(
-    g: Graph, p: StatePartition, oracle: str = "rebuild", d: int | None = None
-) -> FullyDynamicStructure:
+def build_fully_dynamic(g: Graph, p: StatePartition, oracle: str = "rebuild") -> FullyDynamicStructure:
     """Build oracles over the base active graph and all its augmentations.
 
     Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles, all over ``g``;
     the augmented ones are the base oracle's ``augment``s.
     """
-    base = make_oracle(oracle, g, p.on_mask, d=d)
+    base = make_oracle(oracle, g, p.on_mask)
     single = {u: base.augment((u,)) for u in p.off_vertices}
     pairs = {ab: base.augment(ab) for ab in combinations(p.off_vertices, 2)}
     probes = base.costs.t_p
     probes += sum(o.costs.t_p for o in single.values())
     probes += sum(o.costs.t_p for o in pairs.values())
     return FullyDynamicStructure(
-        graph=g,
         partition=p,
         factory=oracle,
         base=base,
@@ -87,18 +84,13 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     Oracle-call accounting: len(touched) = 1 + |I| + C(|I|, 2) delete calls
     and build_probes = C(|I|, 2) pair queries, where I is the activation set.
     The base oracle is pushed first, so with ``rebuild`` the family shares
-    the base's labeling, split locally around the deactivated vertices. A
-    batch larger than the capacity the oracles were built for raises
-    CapacityError before any oracle is touched. If any later step raises,
-    the batch's oracles are reset before the exception propagates, so the
-    structure stays ready for the next update.
+    the base's labeling, split locally around the deactivated vertices. If
+    any step raises, the batch's oracles are reset before the exception
+    propagates, so the structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
     batch = UpdateBatch.for_partition(s.partition, deactivate, activate)
-    capacity = s.base.capacity
-    if capacity is not None and batch.d > capacity:
-        raise CapacityError(f"batch of size {batch.d} exceeds the oracles' capacity {capacity}")
     up = sorted(batch.activate)
     pairs = s.pairs
     oracles = [s.base]
@@ -185,8 +177,9 @@ def fd_rollback(s: FullyDynamicStructure, a: SuperGraph) -> None:
 
 @dataclass
 class DoublingFamily:
-    """Structures for capacities 2, 4, ..., 2^l; an update of size d runs on
-    the smallest sufficient capacity."""
+    """Levels 2, 4, ..., 2^l over one shared structure. An update of size d
+    is routed to the smallest level of at least d; a batch above 2^l raises
+    CapacityError before any oracle is touched."""
 
     capacities: tuple[int, ...]
     structures: dict[int, FullyDynamicStructure] = field(repr=False)
@@ -207,19 +200,10 @@ class DoublingFamily:
 
 
 def build_doubling(g: Graph, p: StatePartition, d_max: int, oracle: str = "rebuild") -> DoublingFamily:
-    """Build the doubling family covering batches up to size d_max.
-
-    Capacity-independent oracle factories (both built-ins) share one
-    underlying structure across all levels; d-parameterized factories get a
-    structure per level.
-    """
+    """Build the doubling family covering batches up to size d_max: one
+    structure, shared by every level; no oracle is sized to a batch."""
     if d_max < 1:
         raise ContractViolation(f"d_max must be at least 1, got {d_max}")
     levels = max(1, (d_max - 1).bit_length())  # smallest l >= 1 with d_max <= 2**l
     capacities = tuple(2**i for i in range(1, levels + 1))
-    if oracle_class(oracle).d_dependent:
-        structures = {c: build_fully_dynamic(g, p, oracle, d=c) for c in capacities}
-    else:
-        shared = build_fully_dynamic(g, p, oracle)
-        structures = {c: shared for c in capacities}
-    return DoublingFamily(capacities=capacities, structures=structures)
+    return DoublingFamily(capacities, dict.fromkeys(capacities, build_fully_dynamic(g, p, oracle)))

@@ -132,10 +132,13 @@ def cmd_run(args) -> int:
         t1 = t2 = time.perf_counter()
         report.results, _ = _run_queries(queries, oracle.query)
     t3 = time.perf_counter()
+    if args.algo == "fd":  # inc and bf leave nothing to roll back: the batch's result is dropped
+        fd_rollback(s, sg)
+    t4 = time.perf_counter()
 
     errors = report.results.count("E")
     counters["errors"] = errors
-    report.wall_times = {"preprocess": t1 - t0, "update": t2 - t1, "query": t3 - t2}
+    report.wall_times = {"preprocess": t1 - t0, "update": t2 - t1, "query": t3 - t2, "rollback": t4 - t3}
 
     for line in report.results:
         print(line)

@@ -7,9 +7,11 @@ once per module and shared by the criteria that read them.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
+from sensconn.connectivity_oracle import oracle_names
 from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
@@ -39,10 +41,12 @@ def exhaustive_report():
     return suites, time.perf_counter() - t0
 
 
+RANDOM_CORPUS = VerifyConfig(trials=1000, n_max=40, edge_probs=(0.1, 0.3, 0.6), batch_max=6, seed=42)
+
+
 @pytest.fixture(scope="module")
 def random_report():
-    cfg = VerifyConfig(trials=1000, n_max=40, edge_probs=(0.1, 0.3, 0.6), batch_max=6, seed=42)
-    return random_suites(cfg)
+    return random_suites(RANDOM_CORPUS)
 
 
 def _require_clean(suite):
@@ -70,6 +74,17 @@ def test_randomized_equivalence(random_report):
         f"PASS randomized equivalence: fd={random_report['fully_dynamic'].checked} "
         f"inc={random_report['incremental'].checked} queries, 0 mismatches"
     )
+
+
+@pytest.mark.parametrize("factory", [f for f in oracle_names() if f != RANDOM_CORPUS.oracle])
+def test_randomized_equivalence_of_every_factory(random_report, factory):
+    """The same seeded corpus on each other registered factory: clean, and
+    the same number of checks as the default factory's run."""
+    suites = random_suites(replace(RANDOM_CORPUS, oracle=factory))
+    for name, suite in suites.items():
+        _require_clean(suite)
+        assert suite.checked == random_report[name].checked, name
+    print(f"PASS randomized equivalence [{factory}]: fd={suites['fully_dynamic'].checked} queries, 0 mismatches")
 
 
 def test_path_characterization_predicate(exhaustive_report, random_report):
@@ -104,15 +119,17 @@ def test_exact_counter_bounds(exhaustive_report, random_report):
 
 
 def test_oracle_conformance():
-    suite = oracle_conformance_suite("rebuild", trials=500, seed=2024)
-    _require_clean(suite)
-    print(f"PASS oracle conformance: {suite.checked} queries over 500 instances, 0 mismatches")
+    for factory in oracle_names():
+        suite = oracle_conformance_suite(factory, trials=500, seed=2024)
+        _require_clean(suite)
+        print(f"PASS oracle conformance [{factory}]: {suite.checked} queries over 500 instances, 0 mismatches")
 
 
 def test_rollback_reproducibility():
-    suite = rollback_suite(trials=200, seed=7, queries=50)
-    _require_clean(suite)
-    print("PASS rollback: 200 instances reproduce super-graph edges and answers")
+    for factory in oracle_names():
+        suite = rollback_suite(trials=200, seed=7, oracle=factory, queries=50)
+        _require_clean(suite)
+        print(f"PASS rollback [{factory}]: 200 instances reproduce super-graph edges and answers")
 
 
 def test_doubling_dispatch():

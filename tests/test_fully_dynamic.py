@@ -458,6 +458,10 @@ class TestDoubling:
             fam.level_for(3)
         with pytest.raises(CapacityError):
             fam.dispatch_update([0, 1, 3], [])
+        s = fam.structure_for(2)
+        assert s.session is None
+        oracles = [s.base, *s.single.values(), *s.pairs.values()]
+        assert all(o.phase == "fresh" and not o.deleted for o in oracles)
 
     def test_dispatch_reports_a_vertex_on_both_sides(self):
         fam = build_doubling(path_graph(6), StatePartition.from_off(6, [2, 4]), 2)
@@ -474,33 +478,6 @@ class TestDoubling:
         g, p = p5
         fam = build_doubling(g, p, 8)
         assert len({id(s) for s in fam.structures.values()}) == 1
-
-    def test_capacity_bound_factories_get_one_structure_per_level(self, p5, oracle_registry):
-        @register_oracle
-        class _SizedRebuild(RebuildOracle):
-            name = "rebuild-sized-test"
-            d_dependent = True
-
-        g, p = p5
-        fam = build_doubling(g, p, 5, oracle="rebuild-sized-test")
-        assert len({id(s) for s in fam.structures.values()}) == 3
-        assert [fam.structures[c].base.capacity for c in fam.capacities] == [2, 4, 8]
-
-    def test_batch_over_capacity_rejected_before_any_push(self, p5, oracle_registry):
-        @register_oracle
-        class _SizedRebuild(RebuildOracle):
-            name = "rebuild-sized-test"
-            d_dependent = True
-
-        g, p = p5
-        s = build_doubling(g, p, 2, oracle="rebuild-sized-test").structure_for(2)
-        with pytest.raises(CapacityError):
-            fd_update(s, [0, 1, 3], [2])  # d = 4 on a structure built for d = 2
-        assert s.session is None
-        assert all(o.phase == "fresh" for o in [s.base, *s.single.values()])
-        a = fd_update(s, [0], [2])
-        assert fd_query(s, a, 1, 3) is True
-        fd_rollback(s, a)
 
 
 class TestMemory:

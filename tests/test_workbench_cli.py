@@ -3,7 +3,9 @@ import random
 import pytest
 
 import sensconn.verify as verify_mod
+import sensconn.workbench_cli as cli_mod
 from sensconn.connectivity_oracle import RebuildOracle, oracle_names, register_oracle
+from sensconn.fully_dynamic_sensitivity import fd_rollback, fd_update
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
 from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, RANDOM_N_MAX, main
@@ -186,7 +188,30 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert [l for l in lines if not l.startswith("wall_")] == expected.split()
         assert [l.partition("=")[0] for l in lines if l.startswith("wall_")] == [
-            "wall_preprocess_s", "wall_update_s", "wall_query_s"]
+            "wall_preprocess_s", "wall_update_s", "wall_query_s", "wall_rollback_s"]
+
+    def test_fd_rolls_back_its_update(self, capsys, monkeypatch):
+        handles, rollbacks = [], []
+
+        def update(s, deactivate, activate):
+            handles.append(fd_update(s, deactivate, activate))
+            return handles[-1]
+
+        def rollback(s, a):
+            rollbacks.append(a)
+            fd_rollback(s, a)
+
+        monkeypatch.setattr(cli_mod, "fd_update", update)
+        monkeypatch.setattr(cli_mod, "fd_rollback", rollback)
+        run_cli(
+            capsys, "run",
+            "--graph", str(FIXTURES / "mixed.graph"),
+            "--update", str(FIXTURES / "mixed.update"),
+            "--query", str(FIXTURES / "mixed.query"),
+            "--algo", "fd",
+        )
+        assert len(handles) == len(rollbacks) == 1
+        assert rollbacks[0] is handles[0]
 
 
 class TestVerifyCommand:
