@@ -84,7 +84,11 @@ class DecrementalOracle(abc.ABC):
 
     def augment(self, extras) -> "DecrementalOracle":
         """An oracle of the same factory in this oracle's family, over its
-        active vertices plus ``extras``, each an inactive vertex in [0, n)."""
+        active vertices plus ``extras``, each an inactive vertex in [0, n).
+
+        The fully dynamic engine builds a member the first time an update
+        pushes it, inside that update, so building one may cost no more
+        than one push (``delete_batch``) into it."""
         grown = self.extras
         for x in extras:
             if not 0 <= x < self.graph.n or self._has(x) or x in grown:

@@ -1,14 +1,16 @@
 """Fully dynamic engine: batches may deactivate and activate vertices.
 
-Preprocessing builds a decremental oracle over the base active graph and,
-with ``augment``, one over every one- and two-vertex augmentation of it; each
-is the input graph restricted to its active vertices, so every oracle speaks
-the original vertex ids. An update pushes the deactivations into the oracles
-it will actually consult, then builds the bridge graph over the activated
-vertices from pair-oracle queries. That bridge graph (SuperGraph) is the batch's only
-record: it also holds the deactivated vertices and the pushed oracles, which
-rollback resets. A query needs at most 1 + 2d oracle queries and counts them
-on that bridge graph.
+The engine consults a decremental oracle over the base active graph and one
+over every one- and two-vertex augmentation of it; each is the input
+graph restricted to its active vertices, so every oracle speaks the original
+vertex ids. Preprocessing builds only the base oracle. An update pushes the
+deactivations into the oracles it will actually consult, building each
+augmented one with ``augment`` the first time it is pushed and keeping it,
+then builds the bridge graph over the activated vertices from pair-oracle
+queries. That bridge graph (SuperGraph) is the batch's only record: it also
+holds the deactivated vertices and the pushed oracles, which rollback resets.
+A query needs at most 1 + 2d oracle queries and counts them on that bridge
+graph.
 
 The base oracle is the family's root: it alone holds the active set, and an
 augmented oracle holds only its one or two extra vertices. With the
@@ -33,47 +35,47 @@ from .incremental_sensitivity import SuperGraph, build_supergraph
 
 @dataclass
 class FullyDynamicStructure:
-    """Oracle family for one graph and partition.
+    """Oracle family for one graph and partition. ``single`` and ``pairs``
+    hold the augmented oracles built so far: fd_update builds each on its
+    first push, and it is kept, rollback included.
 
-    fd_update and fd_rollback push deletions into and reset the oracles, so
-    they need exclusive access. fd_query only reads the oracles, and like
-    incremental_query it writes only its batch's ``query_probes``:
-    concurrent queries on one batch answer correctly but may under-count.
+    fd_update and fd_rollback build, push deletions into and reset the
+    oracles, so they need exclusive access. fd_query builds nothing and only
+    reads the oracles, and like incremental_query it writes only its batch's
+    ``query_probes``: concurrent queries on one batch answer correctly but
+    may under-count.
     """
 
     partition: StatePartition
     factory: str
     base: DecrementalOracle  # over the base active vertices
-    single: dict[int, DecrementalOracle]  # inactive vertex -> oracle over base + that vertex
-    pairs: dict[tuple[int, int], DecrementalOracle]  # ascending pair of inactive vertices -> oracle
-    preprocess_probes: int
+    preprocess_probes: int  # the base oracle's t_p: nothing else is built up front
+    single: dict[int, DecrementalOracle] = field(default_factory=dict)  # inactive u -> over base + u
+    pairs: dict[tuple[int, int], DecrementalOracle] = field(default_factory=dict)  # inactive a < b -> base + a, b
     session: SuperGraph | None = None
 
     @property
     def oracle_count(self) -> int:
-        return 1 + len(self.single) + len(self.pairs)
+        """Size of the family the structure answers for, built or not."""
+        k = self.partition.n_off
+        return 1 + k + k * (k - 1) // 2
 
 
 def build_fully_dynamic(g: Graph, p: StatePartition, oracle: str = "rebuild") -> FullyDynamicStructure:
-    """Build oracles over the base active graph and all its augmentations.
-
-    Creates exactly 1 + n_off + n_off*(n_off-1)/2 oracles, all over ``g``;
-    the augmented ones are the base oracle's ``augment``s.
-    """
+    """Build the base oracle over ``g``'s active vertices, the root of a
+    family of 1 + n_off + n_off*(n_off-1)/2 oracles. The augmented members
+    are left to fd_update, which builds each on its first push."""
     base = make_oracle(oracle, g, p.on_mask)
-    single = {u: base.augment((u,)) for u in p.off_vertices}
-    pairs = {ab: base.augment(ab) for ab in combinations(p.off_vertices, 2)}
-    probes = base.costs.t_p
-    probes += sum(o.costs.t_p for o in single.values())
-    probes += sum(o.costs.t_p for o in pairs.values())
-    return FullyDynamicStructure(
-        partition=p,
-        factory=oracle,
-        base=base,
-        single=single,
-        pairs=pairs,
-        preprocess_probes=probes,
-    )
+    return FullyDynamicStructure(partition=p, factory=oracle, base=base, preprocess_probes=base.costs.t_p)
+
+
+def _member(members: dict, key, base: DecrementalOracle, extras) -> DecrementalOracle:
+    """``members[key]``, built as ``base.augment(extras)`` on first use and
+    kept; a build that raises stores nothing."""
+    o = members.get(key)
+    if o is None:
+        o = members[key] = base.augment(extras)
+    return o
 
 
 def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
@@ -83,19 +85,21 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
 
     Oracle-call accounting: len(touched) = 1 + |I| + C(|I|, 2) delete calls
     and build_probes = C(|I|, 2) pair queries, where I is the activation set.
-    The base oracle is pushed first, so with ``rebuild`` the family shares
-    the base's labeling, split locally around the deactivated vertices. If
-    any step raises, the batch's oracles are reset before the exception
-    propagates, so the structure stays ready for the next update.
+    An augmented oracle is built by the first batch that pushes it, before
+    that batch's first push. The base oracle is pushed first, so with ``rebuild`` the
+    family shares the base's labeling, split locally around the deactivated
+    vertices. If any step raises, the batch's oracles are reset and no
+    half-built oracle is kept before the exception propagates, so the
+    structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
     batch = UpdateBatch.for_partition(s.partition, deactivate, activate)
     up = sorted(batch.activate)
-    pairs = s.pairs
-    oracles = [s.base]
-    oracles += (s.single[u] for u in up)
-    oracles += (pairs[ab] for ab in combinations(up, 2))
+    base, pairs = s.base, s.pairs
+    oracles = [base]
+    oracles += (_member(s.single, u, base, (u,)) for u in up)
+    oracles += (_member(pairs, ab, base, ab) for ab in combinations(up, 2))
     try:
         for o in oracles:
             o.delete_batch(batch.deactivate)

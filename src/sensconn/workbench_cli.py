@@ -29,8 +29,9 @@ from . import verify as verify_lib
 
 ALGORITHMS = ("inc", "fd", "bf")
 EXHAUSTIVE_N_MAX = 6  # exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions
-# random verify checks every active pair over up to C(n_off, 2) oracles: one
-# trial at n = 400 takes up to 4 s and 55 MB, at 800 up to 30 s and 200 MB
+# random verify checks every active pair of both engines against a search
+# from each vertex: one trial at n = 400 takes up to about 1 s and 25 MB, at
+# 800 up to 8 s and 60 MB (dense G(n, 0.6) trials, 2-vCPU x86 host)
 RANDOM_N_MAX = 400
 
 

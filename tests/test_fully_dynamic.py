@@ -7,8 +7,11 @@ import pytest
 import sensconn.connectivity_oracle as oracle_mod
 from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.connectivity_oracle import (
+    DecrementalOracle,
     RebuildOracle,
     make_oracle,
+    oracle_class,
+    oracle_names,
     register_oracle,
 )
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
@@ -35,15 +38,15 @@ class TestBuild:
     def test_one_inactive_vertex(self, p5):
         g, p = p5
         s = build_fully_dynamic(g, p)
-        assert (len(s.single), len(s.pairs)) == (1, 0)
         assert s.oracle_count == 2
+        assert (len(s.single), len(s.pairs)) == (0, 0)  # built by the first update that pushes them
 
     def test_three_inactive_vertices(self):
         g = path_graph(6)
         p = StatePartition.from_off(6, [0, 2, 4])
         s = build_fully_dynamic(g, p)
-        assert (len(s.single), len(s.pairs)) == (3, 3)
         assert s.oracle_count == 7
+        assert (len(s.single), len(s.pairs)) == (0, 0)
 
     def test_all_active(self):
         g = path_graph(4)
@@ -64,7 +67,7 @@ class TestBuild:
     def test_preprocess_probes_accumulate(self, p5):
         g, p = p5
         s = build_fully_dynamic(g, p)
-        assert s.preprocess_probes > 0
+        assert s.preprocess_probes == s.base.costs.t_p > 0
 
 
 class TestUpdate:
@@ -238,6 +241,87 @@ class TestLabelingsPerBatch:
         fd_rollback(s, a)
 
 
+class TestBuildOnFirstPush:
+    """Preprocessing builds only the root. fd_update builds each augmented
+    oracle the first time it pushes it, and the structure keeps it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every oracle built while the test runs, in build order."""
+        built = []
+        init = DecrementalOracle.__init__
+
+        def counted(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(DecrementalOracle, "__init__", counted)
+        return built
+
+    def test_build_makes_only_the_root(self, built):
+        n = 2_000
+        p = StatePartition.from_off(n, range(0, n, 2))
+        s = build_fully_dynamic(path_graph(n), p)
+        assert built == [s.base]
+        assert s.oracle_count == 1 + 1_000 + pairs_of(1_000)
+
+    def test_a_batch_builds_only_its_new_members_and_only_once(self, built):
+        g, p = TestLabelingsPerBatch.instance()
+        s = build_fully_dynamic(g, p)
+        built.clear()
+        up = [0, 4, 8, 12]
+        k = len(up)
+        a = fd_update(s, [1, 2], up)
+        assert built == list(a.touched[1:])
+        assert (len(s.single), len(s.pairs)) == (k, pairs_of(k))
+        active = (set(iter_bits(p.on_mask)) - {1, 2}) | set(up)
+        for u in active:
+            for v in active:
+                assert fd_query(s, a, u, v) == brute_connected(g, active, u, v)
+        fd_rollback(s, a)
+        b = fd_update(s, [1, 2], up)
+        assert b.touched == a.touched
+        fd_rollback(s, b)
+        assert len(built) == k + pairs_of(k)  # the queries and the repeat built none
+        c = fd_update(s, [], [8, 12, 16])
+        assert built[k + pairs_of(k):] == [s.single[16], s.pairs[8, 16], s.pairs[12, 16]]
+        fd_rollback(s, c)
+
+    @pytest.mark.parametrize("factory", oracle_names())
+    def test_a_member_build_that_fails_leaves_the_structure_usable(self, factory, three_hubs, oracle_registry):
+        class InjectedFault(RuntimeError):
+            pass
+
+        @register_oracle
+        class _FailsOnSecondAugment(oracle_class(factory)):
+            name = f"{factory}-fails-on-second-augment-test"
+            augments = 0
+
+            def _preprocess(self):
+                if self.root is not self:
+                    type(self).augments += 1
+                    if type(self).augments == 2:
+                        raise InjectedFault("second augmented build fails")
+                super()._preprocess()
+
+        g, p = three_hubs
+        s = build_fully_dynamic(g, p, _FailsOnSecondAugment.name)
+        with pytest.raises(InjectedFault):
+            fd_update(s, [8], [0, 5, 6])  # single[0] is built, then single[5] fails
+        assert s.session is None
+        assert (list(s.single), s.pairs) == ([0], {})
+        oracles = [s.base, *s.single.values()]
+        assert all(o.phase == "fresh" and not o.deleted for o in oracles)
+        a = fd_update(s, [8], [0, 5, 6])
+        assert len(a.touched) == 1 + 3 + 3
+        active = (set(iter_bits(p.on_mask)) - {8}) | {0, 5, 6}
+        for u in active:
+            for v in active:
+                assert fd_query(s, a, u, v) == brute_connected(g, active, u, v)
+        fd_rollback(s, a)
+        assert s.session is None
+
+
 class TestInactiveHub:
     """An inactive vertex whose neighbours lie in thousands of base
     components: its oracles' merge maps still cost O(deg), at build and per
@@ -248,11 +332,9 @@ class TestInactiveHub:
         g = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
         p = StatePartition.from_off(leaves + 1, [0, 1])
         s = build_fully_dynamic(g, p)
-        hub_oracles = (s.single[0], s.pairs[0, 1])
-        for o in hub_oracles:
-            assert o.costs.t_p <= 3 * leaves
         a = fd_update(s, [2], [0, 1])
-        for o in hub_oracles:
+        for o in (s.single[0], s.pairs[0, 1]):  # built by this update
+            assert o.costs.t_p <= 3 * leaves
             assert 0 < o.costs.t_u <= 3 * leaves
         assert fd_query(s, a, 1, leaves) is True
         assert fd_query(s, a, 3, leaves) is True
@@ -508,8 +590,15 @@ class TestMemory:
         rng = random.Random(seed)
         g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)))
         p = StatePartition.from_off(n, rng.sample(range(n), n_off))
+
+        def every_member():
+            s = build_fully_dynamic(g, p)
+            fd_rollback(s, fd_update(s, [], p.off_vertices))  # builds all n_off + C(n_off, 2)
+            assert (len(s.single), len(s.pairs)) == (n_off, pairs_of(n_off))
+            return s
+
         retained = []
-        for build in (lambda: make_oracle("rebuild", g, p.on_mask), lambda: build_fully_dynamic(g, p)):
+        for build in (lambda: make_oracle("rebuild", g, p.on_mask), every_member):
             tracemalloc.start()
             try:
                 kept = build()
