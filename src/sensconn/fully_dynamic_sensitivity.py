@@ -48,8 +48,7 @@ class FullyDynamicStructure:
 
     partition: StatePartition
     factory: str
-    base: DecrementalOracle  # over the base active vertices
-    preprocess_probes: int  # the base oracle's t_p: nothing else is built up front
+    base: DecrementalOracle  # over the base active vertices; the only oracle built up front
     single: dict[int, DecrementalOracle] = field(default_factory=dict)  # inactive u -> over base + u
     pairs: dict[tuple[int, int], DecrementalOracle] = field(default_factory=dict)  # inactive a < b -> base + a, b
     session: SuperGraph | None = None
@@ -65,8 +64,7 @@ def build_fully_dynamic(g: Graph, p: StatePartition, oracle: str = "rebuild") ->
     """Build the base oracle over ``g``'s active vertices, the root of a
     family of 1 + n_off + n_off*(n_off-1)/2 oracles. The augmented members
     are left to fd_update, which builds each on its first push."""
-    base = make_oracle(oracle, g, p.on_mask)
-    return FullyDynamicStructure(partition=p, factory=oracle, base=base, preprocess_probes=base.costs.t_p)
+    return FullyDynamicStructure(partition=p, factory=oracle, base=make_oracle(oracle, g, p.on_mask))
 
 
 def _member(members: dict, key, base: DecrementalOracle, extras) -> DecrementalOracle:

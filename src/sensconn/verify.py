@@ -3,7 +3,16 @@
 Every suite compares an engine against ``reachable`` over exhaustive or
 seeded random corpora and reports mismatch counts plus the first reproducible
 counterexample. The CLI's verify command and the acceptance tests both run
-through these entry points.
+through these entry points, so ``sensconn verify --oracle X`` checks any
+registered oracle factory.
+
+Both corpora report the four engine suites (fully_dynamic, incremental,
+lemma_on_paths, counters). The random corpus adds two oracle suites on each
+trial's own structure: ``conformance`` queries the root oracle directly,
+fresh, with the batch pushed and after rollback, and ``rollback`` re-applies
+the batch to the rolled-back structure and to a fresh build. The exhaustive
+corpus reuses each structure across every batch of a partition, so its
+engine suites already check every answer given after a rollback.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from functools import partial
 from itertools import combinations
 
 from .bits import iter_bits, mask_of
-from .connectivity_oracle import make_oracle
 from .errors import ContractViolation
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from .generators import gnp_graph
@@ -22,6 +30,8 @@ from .graph_core import Graph, StatePartition, component_labels, dump_graph, rea
 from .incremental_sensitivity import build_incremental, incremental_query, incremental_update
 
 SUITE_NAMES = ("fully_dynamic", "incremental", "lemma_on_paths", "counters")
+RANDOM_SUITE_NAMES = SUITE_NAMES + ("conformance", "rollback")
+ROLLBACK_PAIRS = 50  # answers a rollback rerun reproduces; every pair when there are fewer
 
 
 @dataclass
@@ -49,10 +59,6 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return self.mismatches == 0
-
-
-def _new_suites() -> dict[str, SuiteResult]:
-    return {name: SuiteResult(name) for name in SUITE_NAMES}
 
 
 def iter_all_graphs(n: int):
@@ -83,28 +89,37 @@ def _instance_text(g, p, down, up) -> str:
     return f"graph file:\n{dump_graph(g, p)}deactivate={sorted(down)} activate={sorted(up)}"
 
 
-def _check_queries(query, active_after, sg, name, limit, g, suites, ctx) -> None:
-    """Every active pair through ``query`` against the reference: answers go
-    to suite ``name``, and the probes each query adds to ``sg.query_probes``
-    must stay within ``limit``."""
-    for u in iter_bits(active_after):
-        reach = reachable(g, active_after, u)
-        for v in iter_bits(active_after):
-            if v <= u:
-                continue
-            before = sg.query_probes
+def _check_queries(query, active, name, g, suites, ctx, sg=None, limit=0) -> list[bool]:
+    """Every pair u < v of ``active`` through ``query`` against the
+    reference: answers go to suite ``name``, and with a bridge graph ``sg``
+    the probes each query adds to ``sg.query_probes`` must stay within
+    ``limit``. Returns the answers in pair order, that of
+    ``combinations(iter_bits(active), 2)``."""
+    answers = []
+    vertices = list(iter_bits(active))
+    reach: dict[int, set[int]] = {}  # vertex -> its component, one search each
+    for i, u in enumerate(vertices):
+        if u not in reach:
+            reach.update(dict.fromkeys(component := reachable(g, active, u), component))
+        for v in vertices[i + 1:]:
+            before = sg.query_probes if sg is not None else 0
             got = query(u, v)
-            probes = sg.query_probes - before
+            answers.append(got)
             suites[name].checked += 1
-            expected = v in reach
+            expected = v in reach[u]
             if got != expected:
                 suites[name].fail(f"{ctx()}: query ({u},{v}) expected {expected}, got {got}")
-            suites["counters"].checked += 1
-            if probes > limit:
-                suites["counters"].fail(f"{ctx()}: query ({u},{v}) made {probes} probes, limit {limit}")
+            if sg is not None:
+                probes = sg.query_probes - before
+                suites["counters"].checked += 1
+                if probes > limit:
+                    suites["counters"].fail(f"{ctx()}: query ({u},{v}) made {probes} probes, limit {limit}")
+    return answers
 
 
-def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
+def _check_fully_dynamic(g, p, s, down, up, suites, ctx):
+    """Push the batch and check its counters and every answer. Returns the
+    bridge graph, still held, and the answers in pair order."""
     sg = fd_update(s, down, up)
     k = len(set(up))
     expected_deletes = 1 + k + k * (k - 1) // 2
@@ -116,8 +131,7 @@ def _check_fully_dynamic(g, p, s, down, up, suites, ctx) -> None:
         suites["counters"].fail(f"{ctx()}: {sg.build_probes} pair queries, expected {expected_pairs}")
     active_after = (p.on_mask & ~mask_of(down)) | mask_of(up)
     query = partial(fd_query, s, sg)
-    _check_queries(query, active_after, sg, "fully_dynamic", 1 + 2 * k, g, suites, ctx)
-    fd_rollback(s, sg)
+    return sg, _check_queries(query, active_after, "fully_dynamic", g, suites, ctx, sg, 1 + 2 * k)
 
 
 def _check_incremental(g, p, idx, up, suites, ctx) -> None:
@@ -130,7 +144,7 @@ def _check_incremental(g, p, idx, up, suites, ctx) -> None:
         )
     active_after = p.on_mask | mask_of(up)
     query = partial(incremental_query, idx, sg)
-    _check_queries(query, active_after, sg, "incremental", 2 * k, g, suites, ctx)
+    _check_queries(query, active_after, "incremental", g, suites, ctx, sg, 2 * k)
 
 
 def connected_via_component(g, labels, u: int, v: int) -> bool:
@@ -204,17 +218,17 @@ def exhaustive_suites(n: int = 5, batch_max: int = 3, oracle: str = "rebuild") -
     """Every graph on n labeled vertices, every partition, every batch of at
     most batch_max flips, every active query pair.
 
-    The activation-only engine, which needs no batch capacity, is
-    additionally run on every larger activation subset.
+    The activation-only engine is additionally run on every larger
+    activation subset.
     """
-    suites = _new_suites()
+    suites = {name: SuiteResult(name) for name in SUITE_NAMES}
     for g in iter_all_graphs(n):
         for p in iter_all_partitions(n):
             s = build_fully_dynamic(g, p, oracle)
             idx = build_incremental(g, p)
             for down, up in iter_batches(p, batch_max):
                 ctx = lambda: _instance_text(g, p, down, up)
-                _check_fully_dynamic(g, p, s, down, up, suites, ctx)
+                fd_rollback(s, _check_fully_dynamic(g, p, s, down, up, suites, ctx)[0])
                 _check_lemma(g, p, down, up, suites, ctx)
                 if not down:
                     _check_incremental(g, p, idx, up, suites, ctx)
@@ -238,90 +252,53 @@ def _random_instance(rng: random.Random, cfg: VerifyConfig):
     return g, p, down, up
 
 
+def _check_conformance(g, s, active, phase, suites, ctx) -> None:
+    """The root oracle on its own: every pair of ``active`` straight through
+    ``s.base.query``, outside the engine."""
+    _check_queries(s.base.query, active, "conformance", g, suites, lambda: f"{ctx()} ({phase})")
+
+
+def _check_rollback(g, p, s, down, up, first, suites, ctx) -> None:
+    """Re-apply the batch to ``s``, already rolled back, and to a freshly
+    built structure. Each must reproduce ``first``, the first run's bridge
+    graph edges and answers in pair order, on an even spread of at least
+    ROLLBACK_PAIRS pairs, or on every pair when there are fewer."""
+    edges, answers = first
+    pairs = list(combinations(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(up)), 2))
+    picks = range(0, len(pairs), max(1, len(pairs) // ROLLBACK_PAIRS))
+
+    def rerun(structure):
+        sg = fd_update(structure, down, up)
+        got = [fd_query(structure, sg, *pairs[i]) for i in picks]
+        fd_rollback(structure, sg)
+        return sg.edges, got
+
+    expected = edges, [answers[i] for i in picks]
+    suites["rollback"].checked += 1
+    if rerun(s) != expected:
+        suites["rollback"].fail(f"{ctx()}: rerun after rollback diverged")
+    elif rerun(build_fully_dynamic(g, p, s.factory)) != expected:
+        suites["rollback"].fail(f"{ctx()}: rolled-back structure diverged from a fresh build")
+
+
 def random_suites(cfg: VerifyConfig) -> dict[str, SuiteResult]:
-    """Seeded random instances; the seed fully determines the stream."""
-    suites = _new_suites()
+    """Seeded random instances; the seed fully determines the stream. Each
+    trial also checks its structure's root oracle (conformance) and its
+    rollback against a rerun and a fresh build; neither draws from the
+    stream."""
+    suites = {name: SuiteResult(name) for name in RANDOM_SUITE_NAMES}
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
         g, p, down, up = _random_instance(rng, cfg)
         s = build_fully_dynamic(g, p, cfg.oracle)
         idx = build_incremental(g, p)
         ctx = lambda: f"trial {trial}: " + _instance_text(g, p, down, up)
-        _check_fully_dynamic(g, p, s, down, up, suites, ctx)
+        _check_conformance(g, s, p.on_mask, "fresh", suites, ctx)
+        sg, answers = _check_fully_dynamic(g, p, s, down, up, suites, ctx)
+        _check_conformance(g, s, p.on_mask & ~mask_of(down), "batch pushed", suites, ctx)
+        fd_rollback(s, sg)
+        _check_conformance(g, s, p.on_mask, "rolled back", suites, ctx)
+        _check_rollback(g, p, s, down, up, (sg.edges, answers), suites, ctx)
         _check_lemma(g, p, down, up, suites, ctx)
         _check_incremental(g, p, idx, up, suites, ctx)
     return suites
-
-
-def oracle_conformance_suite(
-    factory: str, trials: int = 500, seed: int = 2024, n_max: int = 24, batch_max: int = 6
-) -> SuiteResult:
-    """Any registered oracle, built over a random active vertex mask, must
-    match the reference before a deletion batch, after it, and again after
-    reset."""
-    suite = SuiteResult(f"conformance[{factory}]")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        n = rng.randint(2, n_max)
-        g = gnp_graph(n, rng.choice((0.1, 0.3, 0.6)), rng)
-        part = StatePartition.from_off(n, [v for v in range(n) if rng.random() < 0.25])
-        o = make_oracle(factory, g, part.on_mask)
-        alive = list(iter_bits(part.on_mask))
-        down = rng.sample(alive, rng.randint(0, min(batch_max, len(alive))))
-
-        def compare(active_mask, phase):
-            for u in iter_bits(active_mask):
-                reach = reachable(g, active_mask, u)
-                for v in iter_bits(active_mask):
-                    if v <= u:
-                        continue
-                    got = o.query(u, v)
-                    suite.checked += 1
-                    if got != (v in reach):
-                        suite.fail(
-                            f"trial {trial} ({phase}): query ({u},{v}) disagrees with "
-                            f"reference\n{dump_graph(g, part)}deleted={sorted(o.deleted)}"
-                        )
-
-        compare(part.on_mask, "fresh")
-        o.delete_batch(down)
-        compare(part.on_mask & ~mask_of(down), "after delete")
-        o.reset()
-        compare(part.on_mask, "after reset")
-    return suite
-
-
-def rollback_suite(
-    trials: int = 200, seed: int = 7, oracle: str = "rebuild", queries: int = 50, n_max: int = 24
-) -> SuiteResult:
-    """Update, query, roll back, re-apply the identical update: the bridge
-    graph and every answer must reproduce, and match a freshly built twin."""
-    suite = SuiteResult("rollback")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        cfg = VerifyConfig(n_max=n_max, batch_max=6)
-        g, p, down, up = _random_instance(rng, cfg)
-        active_after = (p.on_mask & ~mask_of(down)) | mask_of(up)
-        alive = list(iter_bits(active_after))
-        pair_picks = [
-            (rng.choice(alive), rng.choice(alive)) for _ in range(queries)
-        ] if alive else []
-
-        def run(structure):
-            a = fd_update(structure, down, up)
-            answers = [fd_query(structure, a, x, y) for x, y in pair_picks]
-            edges = a.edges
-            fd_rollback(structure, a)
-            return edges, answers
-
-        s = build_fully_dynamic(g, p, oracle)
-        first = run(s)
-        second = run(s)
-        fresh = run(build_fully_dynamic(g, p, oracle))
-        suite.checked += 1
-        if first != second:
-            suite.fail(f"trial {trial}: rerun after rollback diverged\n" + _instance_text(g, p, down, up))
-        elif first != fresh:
-            suite.fail(f"trial {trial}: rolled-back structure diverged from a fresh build\n"
-                       + _instance_text(g, p, down, up))
-    return suite

@@ -29,9 +29,11 @@ from . import verify as verify_lib
 
 ALGORITHMS = ("inc", "fd", "bf")
 EXHAUSTIVE_N_MAX = 6  # exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions
-# random verify checks every active pair of both engines against a search
-# from each vertex: one trial at n = 400 takes up to about 1 s and 25 MB, at
-# 800 up to 8 s and 60 MB (dense G(n, 0.6) trials, 2-vCPU x86 host)
+# random verify checks every active pair of both engines and of the root
+# oracle against one search per component: with rebuild, one trial at n = 400
+# takes up to about 0.25 s, at 800 up to 2 s and 80 MB; with bruteforce, whose
+# every query floods the graph, 110 s at n = 400 (dense G(n, 0.6) trials,
+# 2-vCPU x86 host)
 RANDOM_N_MAX = 400
 
 
@@ -121,7 +123,7 @@ def cmd_run(args) -> int:
         report.results, most = _run_queries(queries, partial(fd_query, s, sg), sg)
         counters.update(
             preprocess_oracle_count=s.oracle_count,
-            preprocess_probes=s.preprocess_probes,
+            preprocess_probes=s.base.costs.t_p,
             update_delete_calls=len(sg.touched),
             update_pair_queries=sg.build_probes,
             query_calls_total=sg.query_probes,
@@ -190,6 +192,11 @@ def cmd_bench(args) -> int:
     g, p = load_graph(_read(args.graph))
     sizes = [parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok]
     factories = args.oracle or oracle_names()
+    for size in sizes:
+        if size > p.n_off:
+            print(f"warning: batch size {size} exceeds the {p.n_off} inactive vertices, skipped",
+                  file=sys.stderr)
+    sizes = [size for size in sizes if size <= p.n_off]
     on = [v for v in range(g.n) if p.is_on(v)]
     rows = []
     answers_by_key: dict[tuple, list[bool]] = {}
@@ -197,10 +204,6 @@ def cmd_bench(args) -> int:
         s = build_fully_dynamic(g, p, factory)
         rng = random.Random(args.seed)
         for size in sizes:
-            if size > p.n_off:
-                print(f"warning: batch size {size} exceeds the {p.n_off} inactive vertices, skipped",
-                      file=sys.stderr)
-                continue
             pushes = []
             pair_counts = []
             call_means = []

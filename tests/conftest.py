@@ -4,13 +4,16 @@ import pytest
 from hypothesis import settings
 
 import sensconn.connectivity_oracle as oracle_mod
-from sensconn.graph_core import Graph, StatePartition, load_graph
+from sensconn.bits import mask_of
+from sensconn.connectivity_oracle import BruteForceOracle, register_oracle
+from sensconn.graph_core import Graph, StatePartition, load_graph, reachable
 from sensconn.incremental_sensitivity import build_incremental
 
 settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+KEEPS_DELETION = "keeps-deletion-test"
 
 
 def index_without_off_edges(g, p):
@@ -30,6 +33,34 @@ def oracle_registry(monkeypatch):
     """Lets a test register throwaway oracle factories: the factory registry
     is restored when the test ends, so later tests see only the built-ins."""
     monkeypatch.setattr(oracle_mod, "_REGISTRY", dict(oracle_mod._REGISTRY))
+
+
+@pytest.fixture
+def keeps_deletion(oracle_registry):
+    """Registers KEEPS_DELETION, a throwaway factory whose reset keeps its
+    deletion: it deletes in place by flipping the deleted vertices out of a
+    survivor mask, and its reset does not flip them back, so a rerun of the
+    same batch flips them in again. Its first batch answers correctly."""
+
+    @register_oracle
+    class KeepsDeletion(BruteForceOracle):
+        name = KEEPS_DELETION
+
+        def _preprocess(self):
+            super()._preprocess()
+            self._alive = self.active
+
+        def _apply_delete(self, vertices):
+            super()._apply_delete(vertices)
+            self._alive ^= mask_of(vertices)
+
+        def _apply_reset(self):
+            pass  # the fault: _alive still lacks the deleted vertices
+
+        def _connected(self, u, v):
+            return bool(self._alive >> u & 1) and v in reachable(self.graph, self._alive, u)
+
+    return KEEPS_DELETION
 
 
 @pytest.fixture

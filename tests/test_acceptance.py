@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The two heavyweight
 corpora (exhaustive five-vertex and 1000 seeded random instances) are built
-once per module and shared by the criteria that read them.
+once per module and shared by the criteria that read them; the random one is
+run once for every registered oracle factory, and its conformance and
+rollback suites are the oracle criteria.
 """
 
 import random
@@ -22,13 +24,7 @@ from sensconn.fully_dynamic_sensitivity import (
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition
 from sensconn.incremental_sensitivity import build_incremental, incremental_update
-from sensconn.verify import (
-    VerifyConfig,
-    exhaustive_suites,
-    oracle_conformance_suite,
-    random_suites,
-    rollback_suite,
-)
+from sensconn.verify import VerifyConfig, exhaustive_suites, random_suites
 
 EXHAUSTIVE_BUDGET_S = 300.0
 SCALE_BUDGET_S = 60.0
@@ -42,11 +38,24 @@ def exhaustive_report():
 
 
 RANDOM_CORPUS = VerifyConfig(trials=1000, n_max=40, edge_probs=(0.1, 0.3, 0.6), batch_max=6, seed=42)
+# checks per suite, the same for every factory: the corpus is fixed by its seed
+EXHAUSTIVE_COUNTS = {"fully_dynamic": 2_129_920, "incremental": 1_105_920,
+                     "lemma_on_paths": 218_145, "counters": 5_188_608}
+RANDOM_COUNTS = {"fully_dynamic": 94_537, "incremental": 115_991, "lemma_on_paths": 3_061,
+                 "counters": 213_528, "rollback": RANDOM_CORPUS.trials}
+# the conformance suite this corpus replaced checked 76,092 root-oracle queries
+CONFORMANCE_FLOOR = 76_092
 
 
 @pytest.fixture(scope="module")
-def random_report():
-    return random_suites(RANDOM_CORPUS)
+def random_reports():
+    """Each registered factory's report on the seeded corpus."""
+    return {f: random_suites(replace(RANDOM_CORPUS, oracle=f)) for f in oracle_names()}
+
+
+@pytest.fixture(scope="module")
+def random_report(random_reports):
+    return random_reports[RANDOM_CORPUS.oracle]
 
 
 def _require_clean(suite):
@@ -59,7 +68,7 @@ def test_exhaustive_equivalence(exhaustive_report):
     suites, elapsed = exhaustive_report
     _require_clean(suites["fully_dynamic"])
     _require_clean(suites["incremental"])
-    assert suites["fully_dynamic"].checked > 1_000_000
+    assert {name: suites[name].checked for name in EXHAUSTIVE_COUNTS} == EXHAUSTIVE_COUNTS
     assert elapsed < EXHAUSTIVE_BUDGET_S, f"exhaustive corpus took {elapsed:.0f}s"
     print(
         f"PASS exhaustive equivalence: fd={suites['fully_dynamic'].checked} "
@@ -70,6 +79,7 @@ def test_exhaustive_equivalence(exhaustive_report):
 def test_randomized_equivalence(random_report):
     _require_clean(random_report["fully_dynamic"])
     _require_clean(random_report["incremental"])
+    assert {name: random_report[name].checked for name in RANDOM_COUNTS} == RANDOM_COUNTS
     print(
         f"PASS randomized equivalence: fd={random_report['fully_dynamic'].checked} "
         f"inc={random_report['incremental'].checked} queries, 0 mismatches"
@@ -77,10 +87,10 @@ def test_randomized_equivalence(random_report):
 
 
 @pytest.mark.parametrize("factory", [f for f in oracle_names() if f != RANDOM_CORPUS.oracle])
-def test_randomized_equivalence_of_every_factory(random_report, factory):
+def test_randomized_equivalence_of_every_factory(random_reports, random_report, factory):
     """The same seeded corpus on each other registered factory: clean, and
     the same number of checks as the default factory's run."""
-    suites = random_suites(replace(RANDOM_CORPUS, oracle=factory))
+    suites = random_reports[factory]
     for name, suite in suites.items():
         _require_clean(suite)
         assert suite.checked == random_report[name].checked, name
@@ -118,18 +128,26 @@ def test_exact_counter_bounds(exhaustive_report, random_report):
     print(f"PASS exact counter bounds: {total} assertions, 0 violations")
 
 
-def test_oracle_conformance():
-    for factory in oracle_names():
-        suite = oracle_conformance_suite(factory, trials=500, seed=2024)
+def test_oracle_conformance(random_reports):
+    """Each factory's root oracle, queried directly on every trial of the
+    corpus: fresh, with the batch pushed and after rollback."""
+    for factory, suites in random_reports.items():
+        suite = suites["conformance"]
         _require_clean(suite)
-        print(f"PASS oracle conformance [{factory}]: {suite.checked} queries over 500 instances, 0 mismatches")
+        assert suite.checked > CONFORMANCE_FLOOR, factory
+        print(f"PASS oracle conformance [{factory}]: {suite.checked} queries over "
+              f"{RANDOM_CORPUS.trials} instances, 0 mismatches")
 
 
-def test_rollback_reproducibility():
-    for factory in oracle_names():
-        suite = rollback_suite(trials=200, seed=7, oracle=factory, queries=50)
+def test_rollback_reproducibility(random_reports):
+    """Each factory's structure, rolled back on every trial of the corpus,
+    reproduces the first run on a rerun and on a fresh build."""
+    for factory, suites in random_reports.items():
+        suite = suites["rollback"]
         _require_clean(suite)
-        print(f"PASS rollback [{factory}]: 200 instances reproduce super-graph edges and answers")
+        assert suite.checked == RANDOM_CORPUS.trials, factory
+        print(f"PASS rollback [{factory}]: {suite.checked} instances reproduce bridge-graph edges "
+              "and answers on a rerun and on a fresh build")
 
 
 def test_doubling_dispatch():

@@ -65,9 +65,12 @@ class TestBuild:
             build_fully_dynamic(g, p, "missing")
 
     def test_preprocess_probes_accumulate(self, p5):
+        """Preprocessing builds the base oracle alone, so its t_p is all the
+        work (``sensconn run`` reports it as preprocess_probes)."""
         g, p = p5
         s = build_fully_dynamic(g, p)
-        assert s.preprocess_probes == s.base.costs.t_p > 0
+        assert s.base.costs.t_p == g.n + 2 * g.m > 0
+        assert (s.single, s.pairs) == ({}, {})
 
 
 class TestUpdate:

@@ -1,17 +1,18 @@
+import pytest
+
 import sensconn.verify as verify_mod
 from sensconn.graph_core import StatePartition
 from sensconn.verify import (
+    RANDOM_SUITE_NAMES,
     VerifyConfig,
     exhaustive_suites,
     iter_all_graphs,
     iter_all_partitions,
     iter_batches,
-    oracle_conformance_suite,
     random_suites,
-    rollback_suite,
 )
 
-from conftest import index_without_off_edges
+from conftest import KEEPS_DELETION, index_without_off_edges
 
 
 class TestEnumeration:
@@ -56,11 +57,18 @@ class TestSuitesPass:
         }
 
     def test_conformance_smoke(self):
-        assert oracle_conformance_suite("rebuild", trials=25, seed=1).ok
-        assert oracle_conformance_suite("bruteforce", trials=25, seed=1).ok
+        for factory in ("rebuild", "bruteforce"):
+            suite = random_suites(VerifyConfig(trials=25, seed=1, oracle=factory))["conformance"]
+            assert suite.ok and suite.checked > 0
 
     def test_rollback_smoke(self):
-        assert rollback_suite(trials=20, seed=2).ok
+        suite = random_suites(VerifyConfig(trials=20, seed=2))["rollback"]
+        assert suite.ok and suite.checked == 20
+
+    def test_random_mode_reports_six_suites_and_exhaustive_four(self):
+        assert tuple(random_suites(VerifyConfig(trials=1))) == RANDOM_SUITE_NAMES
+        assert len(RANDOM_SUITE_NAMES) == 6
+        assert tuple(exhaustive_suites(n=2, batch_max=1)) == RANDOM_SUITE_NAMES[:4]
 
 
 class TestSuiteSensitivity:
@@ -75,3 +83,18 @@ class TestSuiteSensitivity:
         # the engines that do not use the mutated arrays stay clean
         assert suites["fully_dynamic"].ok
         assert suites["lemma_on_paths"].ok
+
+    @pytest.mark.parametrize("factory", ["rebuild", "bruteforce", KEEPS_DELETION])
+    def test_a_reset_that_keeps_its_deletion_is_caught(self, keeps_deletion, factory):
+        """Only the oracle suites see a reset that keeps its deletion: each
+        trial's first batch runs on a fresh structure, so the engine suites
+        stay clean."""
+        suites = random_suites(VerifyConfig(trials=25, n_max=16, seed=3, oracle=factory))
+        broken = factory == keeps_deletion
+        for name in ("conformance", "rollback"):
+            assert (suites[name].mismatches > 0) == broken, name
+            assert (suites[name].first_counterexample is not None) == broken, name
+        if broken:
+            assert "(rolled back): query" in suites["conformance"].first_counterexample
+            assert "rerun after rollback diverged" in suites["rollback"].first_counterexample
+        assert all(suites[name].ok for name in ("fully_dynamic", "incremental", "lemma_on_paths", "counters"))

@@ -10,7 +10,7 @@ from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
 from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, RANDOM_N_MAX, main
 
-from conftest import FIXTURES, index_without_off_edges
+from conftest import FIXTURES, KEEPS_DELETION, index_without_off_edges
 
 
 def run_cli(capsys, *argv):
@@ -221,7 +221,20 @@ class TestVerifyCommand:
             "--n-max", "16", "--seed", "3",
         )
         assert code == 0
-        assert out.count("PASS") == 4
+        # the four engine suites, then conformance and rollback of the oracle
+        assert out.count("PASS") == 6
+
+    @pytest.mark.parametrize("factory", ["rebuild", "bruteforce", KEEPS_DELETION])
+    def test_any_registered_oracle_is_checked(self, capsys, keeps_deletion, factory):
+        code, out, _ = run_cli(capsys, "verify", "--mode", "random", "--trials", "25", "--oracle", factory)
+        if factory == keeps_deletion:
+            assert code == 1
+            assert "conformance: FAIL" in out
+            assert "rollback: FAIL" in out
+            assert "first counterexample" in out
+        else:
+            assert code == 0
+            assert out.count("PASS") == 6
 
     def test_exhaustive_mode_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--mode", "exhaustive", "--n-max", "3")
@@ -345,6 +358,16 @@ class TestBenchCommand:
         assert code == 0
         assert "skipped" in err
         assert " 32 " not in out
+
+    def test_size_warning_is_printed_once_for_every_factory(self, capsys, tmp_path):
+        graph = tmp_path / "all_on.graph"
+        graph.write_text("3 2\n0 1\n1 2\nOFF 0\n")
+        code, out, err = run_cli(capsys, "bench", "--graph", str(graph), "--batch-sizes", "1")
+        assert len(oracle_names()) == 2  # both default factories would have warned
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["warning: batch size 1 exceeds the 0 inactive vertices, skipped",
+                                    "nothing to benchmark"]
 
     @pytest.mark.parametrize("sizes", ["1,x", "-1", "\u0663"])
     def test_bad_batch_size_is_one_error_line(self, capsys, bench_graph, sizes):
