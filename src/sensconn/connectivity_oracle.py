@@ -45,6 +45,10 @@ class DecrementalOracle(abc.ABC):
     Queries are legal in either phase. Query endpoints and deleted vertices
     must lie in ``active``.
 
+    ``query`` is the checked entry point, which the fully dynamic engine
+    relies on as the only check of its query endpoints; a factory implements
+    the unchecked ``_connected``.
+
     Oracles come in families. ``make_oracle`` builds a family's ``root`` over
     an active vertex mask (``None`` means every vertex); ``augment`` builds a
     member over the same vertices plus a few ``extras``. The root alone holds
@@ -125,9 +129,9 @@ class DecrementalOracle(abc.ABC):
                 and (on[v] == "1" or v in extras)) or u in deleted or v in deleted:
             for x in (u, v):  # name the first bad endpoint
                 if not self._has(x):
-                    raise QueryEndpointError(f"vertex {x} is not active in this oracle")
+                    raise QueryEndpointError(f"vertex {x} is not active")
                 if x in deleted:
-                    raise QueryEndpointError(f"vertex {x} is deleted")
+                    raise QueryEndpointError(f"vertex {x} is deleted: deactivated by the current batch")
         return self._connected(u, v)
 
     def reset(self) -> None:

@@ -8,9 +8,10 @@ deactivations into the oracles it will actually consult, building each
 augmented one with ``augment`` the first time it is pushed and keeping it,
 then builds the bridge graph over the activated vertices from pair-oracle
 queries. That bridge graph (SuperGraph) is the batch's only record: it also
-holds the deactivated vertices and the pushed oracles, which rollback resets.
-A query needs at most 1 + 2d oracle queries and counts them on that bridge
-graph.
+holds the pushed oracles, which rollback resets; the deactivated vertices are
+the base oracle's ``deleted`` set. A query needs at most 1 + 2d oracle
+queries and counts them on that bridge graph; the first of them validates
+its endpoints, so the engine checks none itself.
 
 The base oracle is the family's root: it alone holds the active set, and an
 augmented oracle holds only its one or two extra vertices. With the
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity_oracle import DecrementalOracle, make_oracle
-from .errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
+from .errors import CapacityError, ContractViolation, PhaseError
 from .graph_core import Graph, StatePartition, UpdateBatch
 from .incremental_sensitivity import SuperGraph, build_supergraph
 
@@ -101,8 +102,7 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     try:
         for o in oracles:
             o.delete_batch(batch.deactivate)
-        sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y),
-                              deactivated=batch.deactivate, touched=tuple(oracles))
+        sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y), touched=tuple(oracles))
     except BaseException:
         for o in oracles:  # reset() on an oracle not yet pushed is a no-op
             o.reset()
@@ -113,23 +113,20 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
 
 def fd_query(s: FullyDynamicStructure, a: SuperGraph, u: int, v: int) -> bool:
     """True iff u and v are connected after the batch behind ``a``, the
-    bridge graph fd_update returned.
+    bridge graph fd_update returned. Adds the oracle queries it makes to
+    ``a.query_probes``.
 
-    Adds the oracle queries it makes to ``a.query_probes``.
+    The first oracle query checks both endpoints, before any is counted.
+    With neither activated it is ``base.query(u, v)``, over the active
+    vertices less the deactivations. With ``u`` activated (after the swap)
+    it is ``single[w].query(w, v)`` for some ``w`` in u's bridge component,
+    never empty; ``v`` is not activated, so ``v != w``, and that oracle
+    rejects ``v`` exactly when the base would. Two activated endpoints are
+    legal by construction.
     """
     if s.session is not a:
         raise ContractViolation("stale update handle")
-    p = s.partition
     comp = a.comp
-    for x in (u, v):
-        if not 0 <= x < p.n:
-            raise QueryEndpointError(f"vertex {x} outside [0, {p.n})")
-        if x in a.deactivated:
-            raise QueryEndpointError(f"vertex {x} was deactivated by this update")
-        if not p.is_on(x) and x not in comp:
-            raise QueryEndpointError(f"vertex {x} is inactive")
-    if u == v:
-        return True
     u_new = u in comp
     v_new = v in comp
     if u_new and v_new:

@@ -102,22 +102,20 @@ class SuperGraph:
     bit probes for the activation-only engine, oracle queries for the fully
     dynamic one. Each query adds the probes it made, and one that raises adds
     nothing, so the count of one query is the difference before and after it.
-    The fully dynamic engine also records the batch's ``deactivated`` set and
-    the ``touched`` oracles it pushed the deletions into, which rollback
-    resets; both are empty for the activation-only engine.
+    The fully dynamic engine also records the ``touched`` oracles it pushed
+    the batch's deactivations into, which rollback resets; it is empty for
+    the activation-only engine.
     """
 
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
     comp: dict[int, int]
     build_probes: int
-    deactivated: frozenset[int] = frozenset()
     touched: tuple[DecrementalOracle, ...] = field(default=(), compare=False, repr=False)
     query_probes: int = field(default=0, compare=False)
 
 
 def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
-                     deactivated: frozenset[int] = frozenset(),
                      touched: tuple[DecrementalOracle, ...] = ()) -> SuperGraph:
     """Probe every unordered pair exactly once (no short-circuit, so the
     probe counter is n*(n-1)/2 by construction) and label the components."""
@@ -145,7 +143,6 @@ def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
         components=tuple(map(tuple, members)),
         comp=comp,
         build_probes=probes,
-        deactivated=deactivated,
         touched=touched,
     )
 

@@ -383,21 +383,28 @@ class TestQuery:
         a = fd_update(s, [2], [])
         with pytest.raises(QueryEndpointError, match="deactivated"):
             fd_query(s, a, 2, 0)
-        with pytest.raises(QueryEndpointError, match="inactive"):
+        with pytest.raises(QueryEndpointError, match="not active"):
             fd_query(s, a, 5, 0)
         with pytest.raises(QueryEndpointError):
             fd_query(s, a, 0, 77)
 
-    def test_illegal_endpoint_adds_no_probes(self, mixed):
-        g, p = mixed
-        s = build_fully_dynamic(g, p)
-        a = fd_update(s, [2], [5])
-        assert fd_query(s, a, 0, 4) is True
+    @pytest.mark.parametrize("factory", oracle_names())
+    def test_illegal_endpoint_adds_no_probes(self, factory, three_hubs):
+        # 8 deactivated, 0 and 6 activated, 1 inactive and not activated:
+        # an old vertex (7) meets each illegal endpoint in the base oracle,
+        # an activated one (0) in its member single[0]
+        g, p = three_hubs
+        s = build_fully_dynamic(g, p, factory)
+        a = fd_update(s, [8], [0, 6])
+        assert fd_query(s, a, 0, 7) is True
+        assert fd_query(s, a, 7, 9) is False
         probes = a.query_probes
         assert probes > 0
-        for u, v in ((2, 0), (0, 77), (-1, 4)):
-            with pytest.raises(QueryEndpointError):
-                fd_query(s, a, u, v)
+        for legal in (7, 0):
+            for bad in (8, 1, -1, g.n):
+                for u, v in ((legal, bad), (bad, legal)):
+                    with pytest.raises(QueryEndpointError):
+                        fd_query(s, a, u, v)
         assert a.query_probes == probes
 
     def test_stale_handle_rejected(self, p5):
@@ -419,12 +426,17 @@ class TestQuery:
             down = rng.sample(sorted(iter_bits(p.on_mask)), rng.randint(0, min(3, p.n_on)))
             s = build_fully_dynamic(g, p)
             a = fd_update(s, down, batch)
-            alive = sorted(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(batch)))
-            for u in alive:
-                for v in alive:
+            alive = set(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(batch)))
+            for u in range(-2, n + 2):
+                for v in range(-2, n + 2):
                     before = a.query_probes
-                    fd_query(s, a, u, v)
-                    assert a.query_probes - before <= 1 + 2 * len(batch)
+                    if u in alive and v in alive:
+                        assert fd_query(s, a, u, v) == brute_connected(g, alive, u, v)
+                        assert a.query_probes - before <= 1 + 2 * len(batch)
+                    else:
+                        with pytest.raises(QueryEndpointError):
+                            fd_query(s, a, u, v)
+                        assert a.query_probes == before
             fd_rollback(s, a)
 
 
@@ -433,7 +445,7 @@ class TestRecord:
         g, p = three_hubs
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [8], [6, 0, 5])
-        assert a.deactivated == frozenset({8})
+        assert s.base.deleted == frozenset({8})
         assert a.touched == (s.base, s.single[0], s.single[5], s.single[6],
                              s.pairs[0, 5], s.pairs[0, 6], s.pairs[5, 6])
         assert all(o.deleted == frozenset({8}) for o in a.touched)

@@ -148,10 +148,9 @@ class TestRecord:
         assert sg.comp == {0: 0, 1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 0}
         assert list(sg.comp) == sorted(sg.comp)
 
-    def test_no_deactivations_and_no_oracles(self, p5):
+    def test_no_oracles(self, p5):
         g, p = p5
         sg = incremental_update(build_incremental(g, p), [2])
-        assert sg.deactivated == frozenset()
         assert sg.touched == ()
 
 

@@ -20,5 +20,6 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     scope: dict = {}
     exec(compile(library_use_block(), str(README), "exec"), scope)
     assert scope["sg"].comp == {2: 0, 7: 0}
-    assert scope["a"].deactivated == frozenset({3})
+    assert scope["a"].touched[0] is scope["s"].base
+    assert scope["s"].base.deleted == frozenset()  # the deactivation of 3 was rolled back
     assert scope["s"].session is None

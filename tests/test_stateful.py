@@ -95,8 +95,8 @@ def machine_for(factory_cls):
         @precondition(lambda self: self.session is not None)
         @rule(data=st.data())
         def query(self, data):
-            u = data.draw(st.integers(0, self.g.n - 1), label="u")
-            v = data.draw(st.integers(0, self.g.n - 1), label="v")
+            u = data.draw(st.integers(-2, self.g.n + 1), label="u")
+            v = data.draw(st.integers(-2, self.g.n + 1), label="v")
             sg = self.session
             before = sg.query_probes
             if u in self.active and v in self.active:
