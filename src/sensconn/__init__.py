@@ -8,7 +8,6 @@ oracles, a brute-force reachability reference, and a verification workbench.
 """
 
 from .connectivity_oracle import (
-    BruteForceOracle,
     DecrementalOracle,
     OracleCosts,
     RebuildOracle,
@@ -54,7 +53,6 @@ from .incremental_sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruteForceOracle",
     "CapacityError",
     "ContractViolation",
     "DecrementalOracle",

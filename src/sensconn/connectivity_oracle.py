@@ -3,7 +3,8 @@
 An oracle answers connectivity over a fixed graph restricted to a set of
 active vertices, after at most one batch of vertex deletions per cycle.
 Implementations register under a string name and are selected by the fully
-dynamic engine and the CLI.
+dynamic engine and the CLI. One ships built in, ``rebuild``; ``register_oracle``
+plugs in others.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .bits import all_bits, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
-from .graph_core import active_flags, component_labels, reachable, split_labels
+from .graph_core import active_flags, component_labels, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
@@ -263,24 +264,3 @@ class RebuildOracle(DecrementalOracle):
             lu = merge.get(lu if lu >= 0 else ~u, lu)
             lv = merge.get(lv if lv >= 0 else ~v, lv)
         return lu == lv
-
-
-@register_oracle
-class BruteForceOracle(DecrementalOracle):
-    """No precomputation at all; every query floods the survivor graph."""
-
-    name = "bruteforce"
-
-    def _preprocess(self):
-        self.costs.t_p += 1
-        self.costs.space_s = word_count(self.graph.n) if self.root is self else 1 + len(self.extras)
-
-    def _apply_delete(self, vertices):
-        self.costs.t_u += len(vertices) + 1
-
-    def _apply_reset(self):
-        pass
-
-    def _connected(self, u, v):
-        return v in reachable(self.graph, self.active & ~mask_of(self.deleted), u)
-

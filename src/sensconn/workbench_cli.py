@@ -1,8 +1,11 @@
 """Command line workbench.
 
 ``sensconn run`` loads graph/update/query files and streams one answer per
-query line; ``sensconn verify`` executes the equivalence suites; ``sensconn
-bench`` tabulates how the update and query counters scale with batch size.
+query line, from the activation-only engine (``inc``), the fully dynamic
+engine (``fd``) or a from-scratch labeling of the post-update active vertices
+(``bf``); ``sensconn verify`` executes the equivalence suites; ``sensconn
+bench`` tabulates, for each oracle factory, how the update and query
+counters scale with batch size.
 
 Exit codes: 0 ok, 1 internal error, 2 illegal update for the chosen
 algorithm, 3 at least one illegal query endpoint (marked "E" in the output).
@@ -28,12 +31,14 @@ from .incremental_sensitivity import build_incremental, incremental_query, incre
 from . import verify as verify_lib
 
 ALGORITHMS = ("inc", "fd", "bf")
-EXHAUSTIVE_N_MAX = 6  # exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions
+# exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions: all 1,024
+# graphs take about 1 min at n = 5, all 32,768 about 2 h at n = 6 (2-vCPU x86
+# host)
+EXHAUSTIVE_N_MAX = 6
 # random verify checks every active pair of both engines and of the root
-# oracle against one search per component: with rebuild, one trial at n = 400
-# takes up to about 0.25 s, at 800 up to 2 s and 80 MB; with bruteforce, whose
-# every query floods the graph, 110 s at n = 400 (dense G(n, 0.6) trials,
-# 2-vCPU x86 host)
+# oracle against one search per component: one trial at n = 400 takes up to
+# about 0.25 s, at 800 up to 2 s and 80 MB (dense G(n, 0.6) trials, 2-vCPU
+# x86 host)
 RANDOM_N_MAX = 400
 
 
@@ -131,7 +136,7 @@ def cmd_run(args) -> int:
         )
     else:  # bf
         active_after = (p.on_mask & ~mask_of(batch.deactivate)) | mask_of(batch.activate)
-        oracle = make_oracle("bruteforce", g, active_after)
+        oracle = make_oracle("rebuild", g, active_after)  # labels once; a query reads two labels
         t1 = t2 = time.perf_counter()
         report.results, _ = _run_queries(queries, oracle.query)
     t3 = time.perf_counter()
@@ -190,8 +195,10 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     _require_at_least((("--repeats", args.repeats, 0), ("--queries", args.queries, 0)))
     g, p = load_graph(_read(args.graph))
-    sizes = [parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok]
-    factories = args.oracle or oracle_names()
+    # each distinct size and factory once, in first-seen order: every factory
+    # draws the same batches, so its answers can be compared by (size, repeat)
+    sizes = dict.fromkeys(parse_int(tok, "batch size") for tok in args.batch_sizes.split(",") if tok)
+    factories = dict.fromkeys(args.oracle or oracle_names())
     for size in sizes:
         if size > p.n_off:
             print(f"warning: batch size {size} exceeds the {p.n_off} inactive vertices, skipped",
@@ -310,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the equivalence suites")
     ver.add_argument("--mode", choices=("exhaustive", "random"), default="random")
     ver.add_argument("--n-max", type=int, default=None,
-                     help=f"exhaustive: exact vertex count (default 5, at most {EXHAUSTIVE_N_MAX}); "
+                     help=f"exhaustive: exact vertex count (default 5, at most {EXHAUSTIVE_N_MAX}; "
+                          "about 1 min at 5, about 2 h at 6); "
                           f"random: largest n (default 40, at most {RANDOM_N_MAX})")
     ver.add_argument("--trials", type=int, default=1000)
     ver.add_argument("--edge-prob", type=float, action="append",

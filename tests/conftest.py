@@ -5,7 +5,7 @@ from hypothesis import settings
 
 import sensconn.connectivity_oracle as oracle_mod
 from sensconn.bits import mask_of
-from sensconn.connectivity_oracle import BruteForceOracle, register_oracle
+from sensconn.connectivity_oracle import DecrementalOracle, RebuildOracle, register_oracle
 from sensconn.graph_core import Graph, StatePartition, load_graph, reachable
 from sensconn.incremental_sensitivity import build_incremental
 
@@ -43,15 +43,13 @@ def keeps_deletion(oracle_registry):
     same batch flips them in again. Its first batch answers correctly."""
 
     @register_oracle
-    class KeepsDeletion(BruteForceOracle):
+    class KeepsDeletion(DecrementalOracle):
         name = KEEPS_DELETION
 
         def _preprocess(self):
-            super()._preprocess()
             self._alive = self.active
 
         def _apply_delete(self, vertices):
-            super()._apply_delete(vertices)
             self._alive ^= mask_of(vertices)
 
         def _apply_reset(self):
@@ -61,6 +59,18 @@ def keeps_deletion(oracle_registry):
             return bool(self._alive >> u & 1) and v in reachable(self.graph, self._alive, u)
 
     return KEEPS_DELETION
+
+
+@pytest.fixture
+def rebuild_twin(oracle_registry):
+    """Registers a second factory that is ``rebuild`` under another name,
+    for tests that need two registered factories; returns its name."""
+
+    @register_oracle
+    class RebuildTwin(RebuildOracle):
+        name = "rebuild-twin-test"
+
+    return RebuildTwin.name
 
 
 @pytest.fixture

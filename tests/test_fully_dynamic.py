@@ -500,29 +500,6 @@ class TestRollback:
             fd_rollback(s, a)
 
 
-class TestOracleIndependence:
-    def test_small_exhaustive_with_both_factories(self):
-        pairs = list(itertools.combinations(range(3), 2))
-        for factory in ("rebuild", "bruteforce"):
-            for edge_bits in range(1 << len(pairs)):
-                g = Graph.from_edges(3, [pairs[i] for i in iter_bits(edge_bits)])
-                for off_bits in range(1 << 3):
-                    p = StatePartition.from_off(3, iter_bits(off_bits))
-                    s = build_fully_dynamic(g, p, factory)
-                    for size in range(4):
-                        for flips in itertools.combinations(range(3), size):
-                            down = [v for v in flips if p.is_on(v)]
-                            up = [v for v in flips if not p.is_on(v)]
-                            a = fd_update(s, down, up)
-                            active = (set(iter_bits(p.on_mask)) - set(down)) | set(up)
-                            for u in active:
-                                for v in active:
-                                    assert fd_query(s, a, u, v) == brute_connected(
-                                        g, active, u, v
-                                    )
-                            fd_rollback(s, a)
-
-
 class TestDoubling:
     def test_levels_cover_the_requested_capacity(self, p5):
         g, p = p5

@@ -327,8 +327,7 @@ each_mask_reader = pytest.mark.parametrize("call", [
     lambda g, mask: reachable(g, mask, 0),
     lambda g, mask: component_labels(g, mask),
     lambda g, mask: make_oracle("rebuild", g, mask),
-    lambda g, mask: make_oracle("bruteforce", g, mask),
-], ids=["reachable", "component_labels", "rebuild", "bruteforce"])
+], ids=["reachable", "component_labels", "rebuild"])
 
 
 @pytest.mark.parametrize("mask", [-1, -2])

@@ -1,6 +1,7 @@
 import pytest
 
 import sensconn.verify as verify_mod
+from sensconn.connectivity_oracle import oracle_names
 from sensconn.graph_core import StatePartition
 from sensconn.verify import (
     RANDOM_SUITE_NAMES,
@@ -48,16 +49,8 @@ class TestSuitesPass:
             k: v.checked for k, v in second.items()
         }
 
-    def test_bruteforce_factory_passes_identically(self):
-        base = exhaustive_suites(n=3, batch_max=3, oracle="rebuild")
-        other = exhaustive_suites(n=3, batch_max=3, oracle="bruteforce")
-        assert all(s.ok for s in other.values())
-        assert {k: v.checked for k, v in base.items()} == {
-            k: v.checked for k, v in other.items()
-        }
-
     def test_conformance_smoke(self):
-        for factory in ("rebuild", "bruteforce"):
+        for factory in oracle_names():
             suite = random_suites(VerifyConfig(trials=25, seed=1, oracle=factory))["conformance"]
             assert suite.ok and suite.checked > 0
 
@@ -84,7 +77,7 @@ class TestSuiteSensitivity:
         assert suites["fully_dynamic"].ok
         assert suites["lemma_on_paths"].ok
 
-    @pytest.mark.parametrize("factory", ["rebuild", "bruteforce", KEEPS_DELETION])
+    @pytest.mark.parametrize("factory", ["rebuild", KEEPS_DELETION])
     def test_a_reset_that_keeps_its_deletion_is_caught(self, keeps_deletion, factory):
         """Only the oracle suites see a reset that keeps its deletion: each
         trial's first batch runs on a fresh structure, so the engine suites

@@ -4,13 +4,14 @@ import pytest
 
 import sensconn.verify as verify_mod
 import sensconn.workbench_cli as cli_mod
-from sensconn.connectivity_oracle import RebuildOracle, oracle_names, register_oracle
+from sensconn.connectivity_oracle import oracle_names
 from sensconn.fully_dynamic_sensitivity import fd_rollback, fd_update
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
 from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, RANDOM_N_MAX, main
 
 from conftest import FIXTURES, KEEPS_DELETION, index_without_off_edges
+from reference import brute_connected
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,38 @@ class TestRun:
         )
         assert code == 3
         assert out.splitlines() == ["1", "1", "1", "E"]
+
+    def test_streams_match_the_reference_on_random_instances(self, capsys, tmp_path):
+        """Seeded random instances: every algorithm that takes the batch gives
+        the same result stream and exit code, each answer the reference's.
+        Queries also name out-of-range, deactivated and never-activated
+        vertices, which every algorithm answers with E."""
+        rng = random.Random(11)
+        graph, update, query = (tmp_path / name for name in ("g.graph", "u.update", "q.query"))
+        for trial in range(20):
+            n = rng.randint(3, 12)
+            g = gnp_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+            p = StatePartition.from_off(n, rng.sample(range(n), rng.randint(1, n - 1)))
+            graph.write_text(dump_graph(g, p))
+            on = [v for v in range(n) if p.is_on(v)]
+            up = rng.sample(p.off_vertices, rng.randint(1, p.n_off))
+            mixed_down = rng.sample(on, rng.randint(1, len(on)))
+            for algos, down in ((("inc", "fd", "bf"), []), (("fd", "bf"), mixed_down)):
+                active = (set(on) - set(down)) | set(up)
+                pool = [*range(n), n, n + 3]  # active, deactivated, never activated, out of range
+                queries = [(rng.choice(pool), rng.choice(pool)) for _ in range(15)]
+                update.write_text(" ".join([*(f"-{v}" for v in down), *(f"+{v}" for v in up)]) + "\n")
+                query.write_text("".join(f"{u} {v}\n" for u, v in queries))
+                expected = ["E" if not {u, v} <= active else "1" if brute_connected(g, active, u, v) else "0"
+                            for u, v in queries]
+                streams = {}
+                for algo in algos:
+                    code, out, _ = run_cli(capsys, "run", "--graph", str(graph), "--update", str(update),
+                                           "--query", str(query), "--algo", algo)
+                    streams[algo] = code, out
+                assert len(set(streams.values())) == 1, (trial, down, streams)
+                code, out = streams["fd"]
+                assert (code, out.split()) == (3 if "E" in expected else 0, expected), (trial, down)
 
     def test_incremental_rejects_deactivation(self, capsys):
         code, _, err = run_cli(
@@ -224,7 +257,7 @@ class TestVerifyCommand:
         # the four engine suites, then conformance and rollback of the oracle
         assert out.count("PASS") == 6
 
-    @pytest.mark.parametrize("factory", ["rebuild", "bruteforce", KEEPS_DELETION])
+    @pytest.mark.parametrize("factory", ["rebuild", KEEPS_DELETION])
     def test_any_registered_oracle_is_checked(self, capsys, keeps_deletion, factory):
         code, out, _ = run_cli(capsys, "verify", "--mode", "random", "--trials", "25", "--oracle", factory)
         if factory == keeps_deletion:
@@ -347,8 +380,8 @@ class TestBenchCommand:
             size = int(row[size_col])
             assert int(row[pair_col]) == size * (size - 1) // 2
         assert {r[size_col] for r in data} == {"2", "4", "8"}
-        # both factories reported
-        assert {r[0] for r in data} == {"rebuild", "bruteforce"}
+        # every factory reported
+        assert {r[0] for r in data} == set(oracle_names())
 
     def test_oversized_batch_skipped_with_warning(self, capsys, bench_graph):
         code, out, err = run_cli(
@@ -359,11 +392,11 @@ class TestBenchCommand:
         assert "skipped" in err
         assert " 32 " not in out
 
-    def test_size_warning_is_printed_once_for_every_factory(self, capsys, tmp_path):
+    def test_size_warning_is_printed_once_for_every_factory(self, capsys, tmp_path, rebuild_twin):
         graph = tmp_path / "all_on.graph"
         graph.write_text("3 2\n0 1\n1 2\nOFF 0\n")
-        code, out, err = run_cli(capsys, "bench", "--graph", str(graph), "--batch-sizes", "1")
-        assert len(oracle_names()) == 2  # both default factories would have warned
+        code, out, err = run_cli(capsys, "bench", "--graph", str(graph), "--batch-sizes", "1,1")
+        assert len(oracle_names()) == 2  # both default factories would have warned, twice each
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["warning: batch size 1 exceeds the 0 inactive vertices, skipped",
@@ -378,11 +411,7 @@ class TestBenchCommand:
         assert err.startswith("error: ")
 
     def test_default_factories_are_every_registered_one(self, capsys, bench_graph, tmp_path,
-                                                         oracle_registry):
-        @register_oracle
-        class _RebuildTwin(RebuildOracle):
-            name = "rebuild-twin-test"
-
+                                                         rebuild_twin):
         out_csv = tmp_path / "bench.csv"
         code, _, _ = run_cli(
             capsys, "bench", "--graph", str(bench_graph),
@@ -391,7 +420,26 @@ class TestBenchCommand:
         assert code == 0
         rows = out_csv.read_text().splitlines()[1:]
         assert sorted(r.split(",")[0] for r in rows) == oracle_names()
-        assert "rebuild-twin-test" in oracle_names()
+        assert rebuild_twin in oracle_names()
+
+    @pytest.mark.parametrize("sizes, oracles, rows", [
+        ("2,2", ["rebuild"], [("rebuild", "2")]),
+        ("4,2,4", ["rebuild", "rebuild"], [("rebuild", "4"), ("rebuild", "2")]),
+    ])
+    def test_repeated_sizes_and_factories_run_once(self, capsys, tmp_path, sizes, oracles, rows):
+        # a size's second occurrence would draw new batches, whose answers
+        # differ on this sparse graph from those its first occurrence gave
+        rng = random.Random(0)
+        graph = tmp_path / "sparse.graph"
+        graph.write_text(dump_graph(gnp_graph(40, 0.06, rng), StatePartition.from_off(40, rng.sample(range(40), 10))))
+        out_csv = tmp_path / "bench.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--graph", str(graph), "--batch-sizes", sizes,
+            *(x for name in oracles for x in ("--oracle", name)),
+            "--repeats", "2", "--queries", "10", "--out", str(out_csv),
+        )
+        assert (code, err) == (0, "")
+        assert [tuple(r.split(",")[:2]) for r in out_csv.read_text().splitlines()[1:]] == rows
 
     def test_update_columns_are_measured(self, capsys, bench_graph, tmp_path):
         out_csv = tmp_path / "bench.csv"
