@@ -4,7 +4,8 @@ An oracle answers connectivity over a fixed graph restricted to a set of
 active vertices, after at most one batch of vertex deletions per cycle.
 Implementations register under a string name and are selected by the fully
 dynamic engine and the CLI. One ships built in, ``rebuild``; ``register_oracle``
-plugs in others.
+plugs in others. Oracles come in families: a root over an active vertex set,
+and members over its vertices plus one or two extra ones.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .graph_core import active_flags, component_labels, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
+MAX_EXTRAS = 2  # the most extras a member of a family holds
 
 
 @dataclass
@@ -52,12 +54,12 @@ class DecrementalOracle(abc.ABC):
 
     Oracles come in families. ``make_oracle`` builds a family's ``root`` over
     an active vertex mask (``None`` means every vertex); ``augment`` builds a
-    member over the same vertices plus a few ``extras``. The root alone holds
-    the active set, as its mask and as the flag string ``on``; a member keeps
-    only its extras and reads the root's ``on``. A member may reuse the work
-    its root has done for the batch the root currently holds, and must stay
-    correct whatever that batch is, including after the root is reset; the
-    root is only read.
+    member over the same vertices plus one or two ``extras``. The root alone
+    holds the active set, as its mask and as the flag string ``on``; a member
+    keeps only its extras and reads the root's ``on``. A member may reuse the
+    work its root has done for the batch the root currently holds, and must
+    stay correct whatever that batch is, including after the root is reset;
+    the root is only read.
 
     ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``, and
     a push may read ``root``; ``query`` only reads. Concurrent queries on one
@@ -89,7 +91,8 @@ class DecrementalOracle(abc.ABC):
 
     def augment(self, extras) -> "DecrementalOracle":
         """An oracle of the same factory in this oracle's family, over its
-        active vertices plus ``extras``, each an inactive vertex in [0, n).
+        active vertices plus ``extras``, each an inactive vertex in [0, n);
+        the new oracle holds at most ``MAX_EXTRAS`` (two) extras in all.
 
         The fully dynamic engine builds a member the first time an update
         pushes it, inside that update, so building one may cost no more
@@ -98,6 +101,8 @@ class DecrementalOracle(abc.ABC):
         for x in extras:
             if not 0 <= x < self.graph.n or self._has(x) or x in grown:
                 raise ContractViolation(f"cannot augment with {x}: not an inactive vertex")
+            if len(grown) == MAX_EXTRAS:
+                raise ContractViolation(f"cannot augment with {x}: a member has at most {MAX_EXTRAS} extras")
             grown += (x,)
         o = object.__new__(type(self))
         o.root, o.extras = self.root, grown
@@ -181,11 +186,11 @@ def oracle_names() -> list[str]:
 @register_oracle
 class RebuildOracle(DecrementalOracle):
     """Baseline oracle: a component labeling of the survivors; queries are
-    two label reads. The root labels its active set at build and splits that
-    labeling locally on a deletion (``split_labels``). Every other member of
-    the family shares the root's labels and records only, in O(deg) of its
-    extras, which root components they join; a deletion the root does not
-    hold as well labels the member's survivors from scratch.
+    two label reads. The root labels its active set at build, the family's
+    only labeling from scratch, and splits it locally on a deletion
+    (``split_labels``). Another member takes the root's split labels when the
+    root holds its deletions, else splits the root's fresh labels itself, and
+    records in O(deg) of its extras which components they join.
 
     A labeling is ``(labels, merge)``. ``labels`` labels some survivors and
     is -1 elsewhere; it is shared and never mutated. A vertex's key is its
@@ -203,56 +208,48 @@ class RebuildOracle(DecrementalOracle):
             self.costs.t_p += g.n + 2 * g.m
             self.costs.space_s = g.n + word_count(g.n)
         else:
-            self._fresh, work = self._extend(root._fresh[0])
+            self._fresh, work = self._extend(root._fresh[0], ())
             self.costs.t_p += work
             self.costs.space_s = 1 + len(self.extras) + len(self._fresh[1])
         self._labels, self._merge = self._fresh
 
     def _apply_delete(self, vertices):
-        g, root = self.graph, self.root
+        root, extras = self.root, self.extras
         if not vertices:
             (self._labels, self._merge), work = self._fresh, 1
-        elif root is self:
-            labels, _, work = split_labels(g, self._fresh[0], self._count, vertices)
-            self._labels, self._merge = labels, {}
-        elif root.deleted == vertices:
-            # the root holds these vertices, so every extra survives
-            (self._labels, self._merge), work = self._extend(root._labels)
         else:
-            self._labels, self._merge = component_labels(g, self.active & ~mask_of(vertices))[0], {}
-            work = g.n + 2 * g.m
+            held = vertices if vertices.isdisjoint(extras) else vertices.difference(extras)
+            if root.deleted == held:  # a member pushed after its root, as the engine does
+                labels, work = root._labels, 0
+            else:  # the root, which holds nothing yet, or a member whose root holds another batch
+                labels, _, work = split_labels(self.graph, root._fresh[0], root._count, held)
+            (self._labels, self._merge), more = self._extend(labels, vertices)
+            work += more
         self.costs.t_u += work
 
-    def _extend(self, labels):
-        """``labels`` plus this oracle's extra vertices, and the work done
-        (edges read plus union-find steps). Each component an extra touches
-        is hung under that extra's root, so a find walks at most one link
-        per extra."""
-        adj, extras = self.graph.adj, self.extras
-        parent: dict[int, int] = {}
-        steps = 0
-
-        def find(k):
-            nonlocal steps
-            while (up := parent.get(k, k)) != k:
-                k = up
-                steps += 1
-            return k
-
-        for x in extras:
-            parent.setdefault(~x, ~x)
-            root = find(~x)
-            for w in adj[x]:
-                k = labels[w]
-                if k < 0:
-                    if w not in extras:
-                        continue  # not a survivor
-                    k = ~w
-                k = find(k)
-                if k != root:
-                    parent[k] = root
-        merge = {k: find(k) for k in parent}
-        return (labels, merge), steps + sum(len(adj[x]) for x in extras)
+    def _extend(self, labels, gone):
+        """``labels`` plus this oracle's extras outside ``gone``, and the
+        adjacency entries read. Every label an extra's neighbours carry maps
+        to that extra's key; the second extra joins the first one's key when
+        the two are adjacent or touch a common label."""
+        adj = self.graph.adj
+        merge: dict[int, int] = {}
+        work = 0
+        first = None  # the first surviving extra and the labels it touches
+        for x in self.extras:
+            if x in gone:
+                continue
+            nbrs = adj[x]
+            work += len(nbrs)
+            touched = {c for w in nbrs if (c := labels[w]) >= 0}
+            key = ~x
+            if first is None:
+                first = x, touched
+            elif first[0] in nbrs or not touched.isdisjoint(first[1]):
+                key = ~first[0]
+            merge[~x] = key
+            merge.update(dict.fromkeys(touched, key))
+        return (labels, merge), work
 
     def _apply_reset(self):
         self._labels, self._merge = self._fresh

@@ -14,9 +14,11 @@ queries and counts them on that bridge graph; the first of them validates
 its endpoints, so the engine checks none itself.
 
 The base oracle is the family's root: it alone holds the active set, and an
-augmented oracle holds only its one or two extra vertices. With the
-``rebuild`` factory the whole family also shares one survivor labeling, made
-once at build and split locally by each update that deactivates anything.
+augmented oracle holds only its one or two extra vertices, the most
+``augment`` allows. With the ``rebuild`` factory the root labels the survivors
+once at build and splits that labeling locally in each update that deactivates
+anything; the base is pushed first, so each augmented oracle takes those
+labels and reads only its extras' adjacency.
 
 Also provides the doubling wrapper: power-of-two levels 2, 4, ..., 2^l that
 share one structure, so only a batch above the largest level is refused

@@ -283,10 +283,14 @@ def reachable(g, active_mask: int, source: int) -> set[int]:
 def parse_int(tok: str, what: str, lineno: int | None = None) -> int:
     """The value of a token made of ASCII digits only, the one integer rule
     of every input format. Signs, underscores and other scripts' digits,
-    which ``int()`` would accept, raise ParseError naming the line."""
+    which ``int()`` would accept, and more digits than it reads raise
+    ParseError naming the line."""
     if not (tok.isascii() and tok.isdigit()):
         raise ParseError(f"expected {what}, got {tok!r}", lineno)
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"expected {what}, got a number of {len(tok)} digits", lineno) from None
 
 
 def _tokens(text: str) -> tuple[list[str], list[int]]:

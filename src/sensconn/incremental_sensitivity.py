@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bits import has_bit, word_count
+from .bits import all_bits, has_bit, word_count
 from .connectivity_oracle import DecrementalOracle
 from .errors import QueryEndpointError
 from .graph_core import Graph, StatePartition, UpdateBatch, component_labels
-from .union_find import UnionFind
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,10 @@ class SuperGraph:
 def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
                      touched: tuple[DecrementalOracle, ...] = ()) -> SuperGraph:
     """Probe every unordered pair exactly once (no short-circuit, so the
-    probe counter is n*(n-1)/2 by construction) and label the components."""
+    probe counter is n*(n-1)/2 by construction); ``component_labels`` over
+    the sorted nodes' indices numbers the components by smallest node."""
     nodes = sorted(nodes)
-    uf = UnionFind(len(nodes))
+    nbrs: list[list[int]] = [[] for _ in nodes]
     edges = []
     probes = 0
     for i, x in enumerate(nodes):
@@ -128,20 +128,16 @@ def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
             probes += 1
             if adjacent(x, nodes[j]):
                 edges.append((x, nodes[j]))
-                uf.union(i, j)
-    comp: dict[int, int] = {}
-    root_to_id: dict[int, int] = {}
-    members: list[list[int]] = []
-    for i, v in enumerate(nodes):
-        cid = root_to_id.setdefault(uf.find(i), len(members))
-        if cid == len(members):
-            members.append([])
-        members[cid].append(v)
-        comp[v] = cid
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    labels, count = component_labels(Graph(len(nodes), len(edges), nbrs), all_bits(len(nodes)))
+    members: list[list[int]] = [[] for _ in range(count)]
+    for x, c in zip(nodes, labels):
+        members[c].append(x)
     return SuperGraph(
         edges=tuple(edges),
         components=tuple(map(tuple, members)),
-        comp=comp,
+        comp=dict(zip(nodes, labels)),
         build_probes=probes,
         touched=touched,
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sensconn.connectivity_oracle as oracle_mod
 from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     DecrementalOracle,
@@ -304,6 +305,26 @@ class TestSharedLabeling:
             assert top._labels is base._labels
             self.assert_matches_reference(top, top.active & ~mask_of(batch))
 
+    @pytest.mark.parametrize("root_holds", ["nothing", "another batch", "own extra"])
+    def test_a_member_never_labels_from_scratch(self, monkeypatch, root_holds):
+        # path 0-...-19,999 with 100 inactive; the member over 100 is pushed
+        # {5} (plus 100 for "own extra"), which splits off only 0..4
+        labelings = []
+        original = oracle_mod.component_labels
+        monkeypatch.setattr(oracle_mod, "component_labels", lambda *a: labelings.append(a) or original(*a))
+        g = path_graph(20_000)
+        base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100]))
+        o = base.augment([100])
+        batch = {5} | ({100} if root_holds == "own extra" else set())
+        if root_holds != "nothing":
+            base.delete_batch({5} if root_holds == "own extra" else {10_000})
+        o.delete_batch(batch)
+        assert len(labelings) == 1  # the root's build
+        if root_holds != "own extra":
+            assert o.costs.t_u <= 40
+        assert o.query(0, 4) and not o.query(4, 6)
+        assert o.query(6, g.n - 1) is (root_holds != "own extra")
+
     @pytest.mark.parametrize("factory", FACTORIES)
     def test_augment_takes_inactive_ids(self, factory):
         g = path_graph(4)
@@ -316,6 +337,22 @@ class TestSharedLabeling:
             o.augment([2])
         assert o.query(0, 2) is True
         assert o.augment([3]).query(0, 3) is True
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_a_third_extra_is_refused(self, factory, monkeypatch):
+        # path 0-1-2-3-4-5 with 1, 3 and 5 inactive in the root
+        root = make_oracle(factory, path_graph(6), mask_of([0, 2, 4]))
+        one, two = root.augment([1]), root.augment([1, 3])
+        built = []
+        init = DecrementalOracle.__init__
+        monkeypatch.setattr(DecrementalOracle, "__init__", lambda o, *a: built.append(o) or init(o, *a))
+        for o, extras in ((root, [1, 3, 5]), (one, [3, 5]), (two, [5])):
+            with pytest.raises(ContractViolation, match="^cannot augment with 5: .* at most 2 extras"):
+                o.augment(extras)
+        assert built == []
+        assert two.query(0, 4) is True
+        assert root.query(0, 2) is False
+        assert one.query(0, 2) is True
 
 
 class TestIdsOutsideTheGraph:

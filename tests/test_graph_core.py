@@ -67,6 +67,10 @@ class TestLoadGraph:
             ("\u0663 0\nOFF 0\n", 1),  # int() reads Arabic-Indic three as 3
             ("12 1\n0 1_0\nOFF 0\n", 2),
             ("3 0\nOFF 1\n+1\n", 3),
+            # more digits than int() reads
+            pytest.param("1" * 5000 + " 0\nOFF 0\n", 1, id="5000-digit vertex count"),
+            pytest.param("3 1\n0\n" + "1" * 5000 + "\nOFF 0\n", 3, id="5000-digit endpoint"),
+            pytest.param("3 0\nOFF 1\n" + "1" * 5000 + "\n", 3, id="5000-digit OFF id"),
         ],
     )
     def test_integers_are_ascii_digits_only(self, text, line):
@@ -357,7 +361,8 @@ class TestUpdateAndQueryFiles:
         with pytest.raises(ParseError, match="line 1"):
             parse_update_text("2\n", n=5)
 
-    @pytest.mark.parametrize("token", ["+\u00b2", "-\u0663"])
+    @pytest.mark.parametrize("token", [
+        "+\u00b2", "-\u0663", pytest.param("+" + "1" * 5000, id="5000 digits")])
     def test_update_non_ascii_digit_rejected(self, token):
         with pytest.raises(ParseError, match="line 1"):
             parse_update_text(token + "\n", n=5)
@@ -376,7 +381,8 @@ class TestUpdateAndQueryFiles:
     def test_query_pairs_in_any_line_layout(self):
         assert parse_query_text("0\n4 1\n3\n") == [(0, 4), (1, 3)]
 
-    @pytest.mark.parametrize("text", ["0 \u0663\n", "0 1_0\n", "-1 0\n"])
+    @pytest.mark.parametrize("text", [
+        "0 \u0663\n", "0 1_0\n", "-1 0\n", pytest.param("0 " + "1" * 5000 + "\n", id="5000 digits")])
     def test_query_ids_are_ascii_digits_only(self, text):
         with pytest.raises(ParseError, match="line 1:"):
             parse_query_text(text)

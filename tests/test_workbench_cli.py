@@ -184,6 +184,28 @@ class TestRun:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: line 1:")
 
+    @pytest.mark.parametrize("which, text", [
+        ("--graph", "1" * 5000 + " 0\nOFF 0\n"),
+        ("--update", "+" + "1" * 5000 + "\n"),
+        ("--query", "1" * 5000 + " 0\n"),
+    ], ids=["graph", "update", "query"])
+    def test_overlong_integer_is_one_short_error_line(self, capsys, tmp_path, which, text):
+        # int() refuses more than 4,300 digits; the error must not echo them
+        bad = tmp_path / "long.txt"
+        bad.write_text(text)
+        files = {
+            "--graph": str(FIXTURES / "p5.graph"),
+            "--update": str(FIXTURES / "p5.update"),
+            "--query": str(FIXTURES / "p5.query"),
+            which: str(bad),
+        }
+        code, out, err = run_cli(capsys, "run", *(x for kv in files.items() for x in kv))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: line 1:")
+        assert len(err) < 200
+
     def test_report_is_deterministic_modulo_wall_times(self, capsys, tmp_path):
         reports = []
         for name in ("a.txt", "b.txt"):
@@ -402,7 +424,7 @@ class TestBenchCommand:
         assert err.splitlines() == ["warning: batch size 1 exceeds the 0 inactive vertices, skipped",
                                     "nothing to benchmark"]
 
-    @pytest.mark.parametrize("sizes", ["1,x", "-1", "\u0663"])
+    @pytest.mark.parametrize("sizes", ["1,x", "-1", "\u0663", pytest.param("1" * 5000, id="5000 digits")])
     def test_bad_batch_size_is_one_error_line(self, capsys, bench_graph, sizes):
         code, out, err = run_cli(capsys, "bench", "--graph", str(bench_graph), "--batch-sizes", sizes)
         assert code == 1
