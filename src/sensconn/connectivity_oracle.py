@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bits import all_bits, mask_of, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
-from .graph_core import active_flags, component_labels, split_labels
+from .graph_core import active_flags, dfs_forest, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
@@ -186,11 +186,15 @@ def oracle_names() -> list[str]:
 @register_oracle
 class RebuildOracle(DecrementalOracle):
     """Baseline oracle: a component labeling of the survivors; queries are
-    two label reads. The root labels its active set at build, the family's
-    only labeling from scratch, and splits it locally on a deletion
-    (``split_labels``). Another member takes the root's split labels when the
-    root holds its deletions, else splits the root's fresh labels itself, and
-    records in O(deg) of its extras which components they join.
+    two label reads. The root labels its active set at build with a
+    depth-first forest (``dfs_forest``), the family's only labeling from
+    scratch, and alone keeps that forest. A deletion splits
+    the labels locally along that forest (``split_labels``), reading about
+    twice the deleted vertices' degree on random graphs. Another member takes
+    the root's split labels when the root holds its deletions, the root's
+    fresh labels when it deletes only its own extras, else splits the root's
+    fresh labels itself over the root's forest, and records in O(deg) of its
+    extras which components they join.
 
     A labeling is ``(labels, merge)``. ``labels`` labels some survivors and
     is -1 elsewhere; it is shared and never mutated. A vertex's key is its
@@ -203,10 +207,10 @@ class RebuildOracle(DecrementalOracle):
     def _preprocess(self):
         g, root = self.graph, self.root
         if root is self:
-            labels, self._count = component_labels(g, self.mask)
-            self._fresh = labels, {}
+            self._forest = dfs_forest(g, self.mask)
+            self._fresh = self._forest.labels, {}
             self.costs.t_p += g.n + 2 * g.m
-            self.costs.space_s = g.n + word_count(g.n)
+            self.costs.space_s = 4 * g.n + word_count(g.n)
         else:
             self._fresh, work = self._extend(root._fresh[0], ())
             self.costs.t_p += work
@@ -221,8 +225,10 @@ class RebuildOracle(DecrementalOracle):
             held = vertices if vertices.isdisjoint(extras) else vertices.difference(extras)
             if root.deleted == held:  # a member pushed after its root, as the engine does
                 labels, work = root._labels, 0
+            elif not held:  # a member whose batch deletes only its own extras
+                labels, work = root._fresh[0], 0
             else:  # the root, which holds nothing yet, or a member whose root holds another batch
-                labels, _, work = split_labels(self.graph, root._fresh[0], root._count, held)
+                labels, _, work = split_labels(self.graph, root._forest, held)
             (self._labels, self._merge), more = self._extend(labels, vertices)
             work += more
         self.costs.t_u += work

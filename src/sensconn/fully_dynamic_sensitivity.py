@@ -16,9 +16,12 @@ its endpoints, so the engine checks none itself.
 The base oracle is the family's root: it alone holds the active set, and an
 augmented oracle holds only its one or two extra vertices, the most
 ``augment`` allows. With the ``rebuild`` factory the root labels the survivors
-once at build and splits that labeling locally in each update that deactivates
-anything; the base is pushed first, so each augmented oracle takes those
-labels and reads only its extras' adjacency.
+once at build, by a depth-first forest it keeps, and in each update that
+deactivates anything splits that labeling locally along the forest: the tree
+pieces the deactivations cut off merge when a search reads an edge between
+them, so on random graphs a push reads about twice the deactivated vertices'
+degree, whatever n is. The base is pushed first, so each augmented oracle
+takes those labels and reads only its extras' adjacency.
 
 Also provides the doubling wrapper: power-of-two levels 2, 4, ..., 2^l that
 share one structure, so only a batch above the largest level is refused

@@ -310,8 +310,8 @@ class TestSharedLabeling:
         # path 0-...-19,999 with 100 inactive; the member over 100 is pushed
         # {5} (plus 100 for "own extra"), which splits off only 0..4
         labelings = []
-        original = oracle_mod.component_labels
-        monkeypatch.setattr(oracle_mod, "component_labels", lambda *a: labelings.append(a) or original(*a))
+        original = oracle_mod.dfs_forest
+        monkeypatch.setattr(oracle_mod, "dfs_forest", lambda *a: labelings.append(a) or original(*a))
         g = path_graph(20_000)
         base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100]))
         o = base.augment([100])
@@ -324,6 +324,19 @@ class TestSharedLabeling:
             assert o.costs.t_u <= 40
         assert o.query(0, 4) and not o.query(4, 6)
         assert o.query(6, g.n - 1) is (root_holds != "own extra")
+
+    def test_a_member_deleting_only_its_extras_takes_the_roots_fresh_labels(self):
+        # path 0-...-199,999 with 100 and 200 inactive in the root, which
+        # holds {10,000}; the member over both is pushed {100} alone, so
+        # nothing of the root's is deleted and no O(n) copy is needed
+        g = path_graph(200_000)
+        base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100, 200]))
+        o = base.augment([100, 200])
+        base.delete_batch({10_000})
+        o.delete_batch({100})
+        assert o._labels is base._fresh[0]
+        assert o.costs.t_u == len(g.adj[200])
+        assert o.query(0, 99) and o.query(101, 10_001) and not o.query(99, 101)
 
     @pytest.mark.parametrize("factory", FACTORIES)
     def test_augment_takes_inactive_ids(self, factory):

@@ -16,7 +16,7 @@ from sensconn.connectivity_oracle import (
 )
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, component_labels
+from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest
 from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
@@ -186,13 +186,15 @@ class TestLabelingsPerBatch:
 
     @pytest.fixture
     def labelings(self, monkeypatch):
+        """The active masks of the labelings any oracle makes, the root's
+        depth-first forest included."""
         calls = []
 
         def counted(g, mask):
             calls.append(mask)
-            return component_labels(g, mask)
+            return dfs_forest(g, mask)
 
-        monkeypatch.setattr(oracle_mod, "component_labels", counted)
+        monkeypatch.setattr(oracle_mod, "dfs_forest", counted)
         return calls
 
     @staticmethod

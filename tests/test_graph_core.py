@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import operator
+import random
+import statistics
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from sensconn.graph_core import (
     StatePartition,
     UpdateBatch,
     component_labels,
+    dfs_forest,
     dump_graph,
     load_graph,
     parse_query_text,
@@ -245,14 +248,47 @@ class TestConnectedComponents:
                 assert (labels[u] == labels[v]) == brute_connected(g, active, u, v)
 
 
+class TestDfsForest:
+    """dfs_forest labels the components as component_labels does, list for
+    list, ``order`` inverts ``pre``, and the pre-order intervals make a
+    depth-first forest: intervals nest or are disjoint, each lies in one
+    component, and every edge joins an ancestor to a descendant."""
+
+    @staticmethod
+    def check(g, active_bits):
+        f = dfs_forest(g, active_bits)
+        assert (f.labels, f.count) == component_labels(g, active_bits)
+        active = list(iter_bits(active_bits))
+        pre, end = f.pre, f.end
+        assert sorted(f.order) == active and all(pre[v] == i for i, v in enumerate(f.order))
+        assert all(pre[v] == -1 for v in range(g.n) if not active_bits >> v & 1)
+        for v in active:
+            assert pre[v] < end[v] <= len(active)
+            assert {f.labels[w] for w in f.order[pre[v]:end[v]]} == {f.labels[v]}
+            for w in active:
+                disjoint = end[v] <= pre[w] or end[w] <= pre[v]
+                assert disjoint or pre[v] <= pre[w] < end[w] <= end[v] or pre[w] <= pre[v] < end[v] <= end[w]
+            for w in g.adj[v]:
+                if active_bits >> w & 1:
+                    assert pre[v] < pre[w] < end[v] or pre[w] < pre[v] < end[w]
+
+    def test_exhaustive_small_graphs(self):
+        for g, active_bits in small_instances(4):
+            self.check(g, active_bits)
+
+    @given(graphs(max_n=40), st.data())
+    @settings(max_examples=80)
+    def test_random_graphs(self, g, data):
+        self.check(g, data.draw(st.integers(0, (1 << g.n) - 1)))
+
+
 class TestSplitLabels:
     """split_labels must give the partition a fresh component_labels of the
     survivors gives, reading at most 2m adjacency entries."""
 
     @staticmethod
     def split(g, active_bits, deleted):
-        labels, count = component_labels(g, active_bits)
-        got, count, work = split_labels(g, labels, count, deleted)
+        got, count, work = split_labels(g, dfs_forest(g, active_bits), deleted)
         fresh, _ = component_labels(g, active_bits & ~mask_of(deleted))
         assert canonical(got) == canonical(fresh)
         assert max(got, default=-1) < count
@@ -307,6 +343,22 @@ class TestSplitLabels:
         labels, count, _ = self.split(g, all_bits(g.n), [2 * half])
         assert len(set(labels[:half])) == len(set(labels[half:-1])) == 1
         assert labels[0] != labels[half] and count == 2
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_work_on_random_graphs_follows_the_deleted_degree(self, n):
+        # average degree 8; a hanging piece of a depth-first tree reaches
+        # above its deleted parent within a read or two, so the searches read
+        # a few times the deleted vertices' adjacency, whatever n is
+        rng = random.Random(n)
+        g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)))
+        forest = dfs_forest(g, all_bits(n))
+        for k in (1, 4, 8):
+            ratios = []
+            for _ in range(200):
+                deleted = rng.sample(range(n), k)
+                _, _, work = split_labels(g, forest, deleted)
+                ratios.append(work / max(1, sum(len(g.adj[x]) for x in deleted)))
+            assert statistics.median(ratios) <= 4 and max(ratios) <= 12, (k, statistics.median(ratios), max(ratios))
 
 
 class TestReachableMask:
