@@ -27,7 +27,8 @@ class OracleCosts:
     """Abstract work counters in elementary probes, not wall clock.
 
     ``t_p`` and ``space_s`` are set by preprocessing; ``t_u`` grows with a
-    push and ``rebase`` drops it back to 0. Queries count nothing.
+    push, by every entry it reads, writes or copies, and ``rebase`` drops it
+    back to 0. Queries count nothing.
     """
 
     t_p: int = 0
@@ -58,13 +59,17 @@ class DecrementalOracle(abc.ABC):
     holds the active set, as its mask and as the flag string ``on``; a member
     keeps only its extras and reads the root's ``on``. A member may reuse the
     work its root has done for the batch the root currently holds, and must
-    stay correct whatever that batch is, including after the root is reset;
-    the root is only read.
+    stay correct whatever that batch is, including after the root is reset.
+    A member pushed the very set its root holds skips the batch check, which
+    the root's push made.
 
-    ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``, and
-    a push may read ``root``; ``query`` only reads. Concurrent queries on one
-    oracle are therefore safe, but no call may overlap its ``delete_batch``
-    or ``reset``, nor a push overlap those of its ``root``.
+    ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``; a
+    member's push may read and register with its ``root``, and a root's push
+    or reset may write the members that reuse its work. ``query`` only
+    reads. Concurrent queries on one oracle are therefore safe, but no call
+    on any oracle of a family may overlap a push or reset in that family.
+    Reset a family's members before its root: a root reset first may have to
+    give members a copy of what it is about to undo.
     """
 
     name = "abstract"
@@ -118,9 +123,12 @@ class DecrementalOracle(abc.ABC):
         if self.phase != FRESH:
             raise PhaseError(f"{self.name} oracle already holds a deletion batch; reset() first")
         vs = frozenset(vertices)
-        for v in vs:
-            if not self._has(v):
-                raise ContractViolation(f"cannot delete {v}: not active in this oracle")
+        # a batch the root holds, as this very set, was checked by the root's
+        # push, and every vertex active in the root is active in its members
+        if vs is not self.root.deleted:
+            for v in vs:
+                if not self._has(v):
+                    raise ContractViolation(f"cannot delete {v}: not active in this oracle")
         self._apply_delete(vs)
         self.deleted = vs
         self.phase = UPDATED
@@ -183,23 +191,52 @@ def oracle_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
+class _FreshLabels:
+    """A root's fresh labels, read through its live list and the undo record
+    of the split it holds: what a member reads while its root holds one."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, root):
+        self.root = root
+
+    def __getitem__(self, v):
+        labels, undo = self.root._labels, self.root._undo
+        return labels[v] if undo is None else undo.old(labels, v)
+
+
 @register_oracle
 class RebuildOracle(DecrementalOracle):
     """Baseline oracle: a component labeling of the survivors; queries are
     two label reads. The root labels its active set at build with a
     depth-first forest (``dfs_forest``), the family's only labeling from
-    scratch, and alone keeps that forest. A deletion splits
-    the labels locally along that forest (``split_labels``), reading about
-    twice the deleted vertices' degree on random graphs. Another member takes
-    the root's split labels when the root holds its deletions, the root's
-    fresh labels when it deletes only its own extras, else splits the root's
-    fresh labels itself over the root's forest, and records in O(deg) of its
-    extras which components they join.
+    scratch, and alone keeps that forest and its one live label list. A
+    push splits that list in place along the forest (``split_labels``),
+    reading less than the deleted vertices' degree on random graphs, and
+    keeps the undo record that ``reset`` replays: no push or reset costs
+    O(n).
+
+    A member records in O(deg) of its extras which components they join,
+    over one of three label sources:
+
+    - the root's live list, borrowed, when the root holds exactly the
+      member's deletions less its extras; that is the engine's path, an
+      activation-only batch included;
+    - the root's fresh labels read through its undo record
+      (``_FreshLabels``), when the member deletes only its extras while the
+      root holds a batch, and whenever the member is fresh;
+    - else a private copy of the root's fresh labels, split the same way,
+      which costs O(n).
+
+    Before a push or reset of the root writes its list, it gives a copy to
+    every member still holding it (the hand-off), so that member's answers
+    stay right. Resetting the members before their root, as the engine does,
+    leaves nothing to hand off.
 
     A labeling is ``(labels, merge)``. ``labels`` labels some survivors and
-    is -1 elsewhere; it is shared and never mutated. A vertex's key is its
-    label, or ``~v`` where the label is -1; ``merge`` maps keys to component
-    ids (an absent key is its own id) and holds every survivor left at -1.
+    is -1 elsewhere; only its root writes it. A vertex's key is its label,
+    or ``~v`` where the label is -1; ``merge`` maps keys to component ids (an
+    absent key is its own id) and holds every survivor left at -1.
     """
 
     name = "rebuild"
@@ -208,30 +245,60 @@ class RebuildOracle(DecrementalOracle):
         g, root = self.graph, self.root
         if root is self:
             self._forest = dfs_forest(g, self.mask)
-            self._fresh = self._forest.labels, {}
+            self._labels, self._merge = self._forest.labels, {}
+            self._undo = None  # the Split of the batch held, if it deleted anything
+            self._view = _FreshLabels(self)
+            self._borrowers: set[RebuildOracle] = set()  # members that took _labels
             self.costs.t_p += g.n + 2 * g.m
-            self.costs.space_s = 4 * g.n + word_count(g.n)
+            self.costs.space_s = 4 * g.n + self._forest.count + word_count(g.n)
         else:
-            self._fresh, work = self._extend(root._fresh[0], ())
+            (_, self._fresh_merge), work = self._extend(root._view, ())
             self.costs.t_p += work
-            self.costs.space_s = 1 + len(self.extras) + len(self._fresh[1])
-        self._labels, self._merge = self._fresh
+            self.costs.space_s = 1 + len(self.extras) + len(self._fresh_merge)
+            self._labels, self._merge = root._view, self._fresh_merge
 
     def _apply_delete(self, vertices):
         root, extras = self.root, self.extras
-        if not vertices:
-            (self._labels, self._merge), work = self._fresh, 1
-        else:
-            held = vertices if vertices.isdisjoint(extras) else vertices.difference(extras)
-            if root.deleted == held:  # a member pushed after its root, as the engine does
-                labels, work = root._labels, 0
-            elif not held:  # a member whose batch deletes only its own extras
-                labels, work = root._fresh[0], 0
-            else:  # the root, which holds nothing yet, or a member whose root holds another batch
-                labels, _, work = split_labels(self.graph, root._forest, held)
+        if root is self:
+            if vertices:
+                work = self._hand_off()
+                self._undo, reads = split_labels(self.graph, self._forest, self._labels, vertices)
+                work += reads + self._undo.written()
+            else:
+                work = 1
+            self.costs.t_u += work
+            return
+        held = vertices if vertices.isdisjoint(extras) else vertices.difference(extras)
+        if root.deleted == held:  # a member pushed after its root, as the engine does
+            labels, work = root._labels, 0
+            root._borrowers.add(self)
+        elif not held:  # a member whose batch deletes only its own extras
+            labels, work = root._view, 0
+        else:  # a member whose root holds another batch, or nothing
+            labels = root._labels.copy()
+            work = len(labels)
+            if root._undo is not None:
+                root._undo.undo(labels)
+                work += root._undo.written()
+            undo, reads = split_labels(self.graph, root._forest, labels, held)
+            work += reads + undo.written()
+        if vertices:
             (self._labels, self._merge), more = self._extend(labels, vertices)
             work += more
+        else:
+            self._labels, self._merge, work = labels, self._fresh_merge, 1
         self.costs.t_u += work
+
+    def _hand_off(self) -> int:
+        """Give each member still holding the root's live list a copy of it,
+        just before the root writes the list; returns the entries copied."""
+        live, copied = self._labels, 0
+        for o in self._borrowers:
+            if o._labels is live:
+                o._labels = live.copy()
+                copied += len(live)
+        self._borrowers.clear()
+        return copied
 
     def _extend(self, labels, gone):
         """``labels`` plus this oracle's extras outside ``gone``, and the
@@ -258,7 +325,13 @@ class RebuildOracle(DecrementalOracle):
         return (labels, merge), work
 
     def _apply_reset(self):
-        self._labels, self._merge = self._fresh
+        if self.root is self:
+            if self._undo is not None:
+                self._hand_off()
+                self._undo.undo(self._labels)
+                self._undo = None
+        else:
+            self._labels, self._merge = self.root._view, self._fresh_merge
 
     def _connected(self, u, v):
         labels, merge = self._labels, self._merge

@@ -17,11 +17,14 @@ The base oracle is the family's root: it alone holds the active set, and an
 augmented oracle holds only its one or two extra vertices, the most
 ``augment`` allows. With the ``rebuild`` factory the root labels the survivors
 once at build, by a depth-first forest it keeps, and in each update that
-deactivates anything splits that labeling locally along the forest: the tree
-pieces the deactivations cut off merge when a search reads an edge between
-them, so on random graphs a push reads about twice the deactivated vertices'
-degree, whatever n is. The base is pushed first, so each augmented oracle
-takes those labels and reads only its extras' adjacency.
+deactivates anything splits that labeling in place, locally along the
+forest: one search per tree piece the deactivations cut, started from the
+piece's top, and pieces merge when a search reads an edge between them. So
+on random graphs a push reads less than the deactivated vertices' degree
+and writes a few labels, whatever n is; rollback writes those labels back.
+The base is pushed first, so each augmented oracle borrows those labels and
+reads only its extras' adjacency, and rollback resets the base last, so it
+hands no copy of its labels to a member.
 
 Also provides the doubling wrapper: power-of-two levels 2, 4, ..., 2^l that
 share one structure, so only a batch above the largest level is refused
@@ -46,10 +49,11 @@ class FullyDynamicStructure:
     first push, and it is kept, rollback included.
 
     fd_update and fd_rollback build, push deletions into and reset the
-    oracles, so they need exclusive access. fd_query builds nothing and only
-    reads the oracles, and like incremental_query it writes only its batch's
-    ``query_probes``: concurrent queries on one batch answer correctly but
-    may under-count.
+    oracles, so they need exclusive access: a base push or reset may also
+    write the members. Both reset the members before the base. fd_query
+    builds nothing and only reads the oracles, and like incremental_query it
+    writes only its batch's ``query_probes``: concurrent queries on one batch
+    answer correctly but may under-count.
     """
 
     partition: StatePartition
@@ -90,11 +94,12 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     Oracle-call accounting: len(touched) = 1 + |I| + C(|I|, 2) delete calls
     and build_probes = C(|I|, 2) pair queries, where I is the activation set.
     An augmented oracle is built by the first batch that pushes it, before
-    that batch's first push. The base oracle is pushed first, so with ``rebuild`` the
-    family shares the base's labeling, split locally around the deactivated
-    vertices. If any step raises, the batch's oracles are reset and no
-    half-built oracle is kept before the exception propagates, so the
-    structure stays ready for the next update.
+    that batch's first push. The base oracle is pushed first, so with
+    ``rebuild`` the family shares the base's labeling, split in place around
+    the deactivated vertices, and each member, pushed that very set, skips
+    the batch check the base made. If any step raises, the batch's oracles are
+    reset, the base last, and no half-built oracle is kept before the
+    exception propagates, so the structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
@@ -109,7 +114,7 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
             o.delete_batch(batch.deactivate)
         sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y), touched=tuple(oracles))
     except BaseException:
-        for o in oracles:  # reset() on an oracle not yet pushed is a no-op
+        for o in reversed(oracles):  # the base last; reset() of an unpushed oracle is a no-op
             o.reset()
         raise
     s.session = sg
@@ -171,10 +176,12 @@ def fd_query(s: FullyDynamicStructure, a: SuperGraph, u: int, v: int) -> bool:
 
 
 def fd_rollback(s: FullyDynamicStructure, a: SuperGraph) -> None:
-    """Reset every oracle the update touched and clear the session."""
+    """Reset every oracle the update touched, the base last, and clear the
+    session. A base reset before its members would give each one a copy of
+    its labels first."""
     if s.session is not a:
         raise ContractViolation("stale update handle")
-    for o in a.touched:
+    for o in reversed(a.touched):
         o.reset()
     s.session = None
 

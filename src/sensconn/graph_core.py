@@ -173,11 +173,14 @@ class Forest(NamedTuple):
     set, one tree per component, with that set's component labeling.
 
     ``labels`` and ``count`` are what ``component_labels`` returns for the
-    same set. An active vertex v is at position ``pre[v]`` of the forest's
+    same set; the tree labeled c is rooted at ``roots[c]``, its smallest
+    vertex. An active vertex v is at position ``pre[v]`` of the forest's
     pre-order, ``order`` lists the vertices in that order, and v's subtree
     holds the positions ``pre[v]`` up to ``end[v]`` (exclusive); ``pre`` is
     -1 off the active set. Every edge between active vertices joins an
-    ancestor to a descendant.
+    ancestor to a descendant. Only ``labels`` is ever written:
+    ``split_labels`` writes a split into it in place, and the ``Split`` it
+    returns writes the forest's labeling back.
     """
 
     labels: list[int]
@@ -185,6 +188,7 @@ class Forest(NamedTuple):
     pre: list[int]
     end: list[int]
     order: list[int]
+    roots: list[int]
 
 
 def dfs_forest(g, active_mask: int) -> Forest:
@@ -205,10 +209,12 @@ def dfs_forest(g, active_mask: int) -> Forest:
     pre = [-1] * n
     end = [0] * n
     order: list[int] = []
+    roots: list[int] = []
     t = count = 0  # t: the next position; end shares its int objects with pre
     for s in range(n):
         if on[s] != "1" or labels[s] >= 0:
             continue
+        roots.append(s)
         stack = [s]
         while stack:
             v = stack.pop()
@@ -224,7 +230,7 @@ def dfs_forest(g, active_mask: int) -> Forest:
                     if labels[w] < 0 and on[w] == "1":
                         stack.append(w)
         count += 1
-    return Forest(labels, count, pre, end, order)
+    return Forest(labels, count, pre, end, order, roots)
 
 
 def _piece_bounds(forest: Forest, deleted) -> tuple[list[int], list[int]]:
@@ -255,22 +261,52 @@ def _piece_bounds(forest: Forest, deleted) -> tuple[list[int], list[int]]:
     return bounds, tops
 
 
-def split_labels(g, forest: Forest, deleted) -> tuple[list[int], int, int]:
-    """The component labeling left when ``deleted`` leaves the active set of
-    ``forest``, found locally.
+class Split(NamedTuple):
+    """The undo record of one ``split_labels``: what it wrote over a
+    labeling. ``gone`` maps each deleted vertex to its old label, ``moved``
+    pairs each run of relabeled vertices with the old id they all had, and
+    ``origin`` maps each new id to the old id it was split off."""
 
-    ``deleted`` lies in that set. Returns a copy of the forest's labels with
-    ``deleted`` at -1 and each piece split off an old component under a new
-    id from ``forest.count`` on, the new id bound, and the work done: the
+    gone: dict[int, int]
+    moved: list[tuple[list[int], int]]
+    origin: dict[int, int]
+
+    def written(self) -> int:
+        """The labels the split wrote, one undo entry each."""
+        return len(self.gone) + sum(len(vs) for vs, _ in self.moved)
+
+    def old(self, labels: list[int], v: int) -> int:
+        """v's label before the split, read from ``labels`` after it."""
+        c = labels[v]
+        return self.origin.get(c, c) if c >= 0 else self.gone.get(v, -1)
+
+    def undo(self, labels: list[int]) -> None:
+        """Write the old labels back over the split ones, in O(written)."""
+        for vs, c in self.moved:
+            for v in vs:
+                labels[v] = c
+        for x, c in self.gone.items():
+            labels[x] = c
+
+
+def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, int]:
+    """Split ``labels``, which holds ``forest``'s labeling, in place into the
+    labeling left when ``deleted`` leaves the forest's active set, found
+    locally.
+
+    ``deleted`` lies in that set and goes to -1; each piece split off an
+    old component gets a new id from ``forest.count`` on.
+    Returns the undo record of what was written, and the work done: the
     adjacency entries read, at most 2m.
 
     Deleting ``deleted`` cuts each tree into tree pieces: the subtree under
-    each child of a deleted vertex less the subtrees under deeper deleted
-    vertices, and the rest of the tree. Each is connected and holds a
-    neighbour of a deleted vertex, and a vertex's piece is one bisect away
-    (``_piece_bounds``). One search per piece starts from those neighbours,
-    and the searches take turns reading one vertex each (Even & Shiloach,
-    J. ACM 28(1), 1981). A search claims only its own piece's vertices;
+    each surviving child of a deleted vertex less the subtrees under deeper
+    deleted vertices, and the tree's top piece, which holds its root unless
+    that is deleted. Each piece is connected, so one search per piece starts
+    from its top: the child or the root, with no adjacency read. The
+    searches take turns reading one vertex each (Even & Shiloach, J. ACM
+    28(1), 1981); a newly reached vertex's piece is one bisect away
+    (``_piece_bounds``). A search claims only its own piece's vertices;
     reading a neighbour in another piece merges the two searches' groups.
     Once a component has at most one unfinished group left, each finished
     group is a whole split-off piece and the unfinished one keeps the old
@@ -280,37 +316,36 @@ def split_labels(g, forest: Forest, deleted) -> tuple[list[int], int, int]:
     by one search at most, so the worst case, one deletion splitting a
     component into two large pieces, stays O(n + m).
     """
-    adj, pre = g.adj, forest.pre
-    count = forest.count
-    labels = forest.labels.copy()
+    adj, pre, order, roots = g.adj, forest.pre, forest.order, forest.roots
     deleted = sorted(deleted)  # numbers the pieces deterministically
+    gone = {x: labels[x] for x in deleted}
     for x in deleted:
         labels[x] = -1
     bounds, tops = _piece_bounds(forest, deleted)
-    search: dict[int, int] = {}  # piece (top's position, or ~old id) -> its search
+    # one seed per piece: each hanging piece, keyed by its top's position,
+    # then the top piece of each touched tree, keyed by ~its old id. Hanging
+    # searches read first in each turn: on random graphs most meet the top
+    # piece in their first read, so the top search, which starts at the
+    # root, far from the deletions, mostly reads nothing.
+    seeds = [(order[top], top) for top in dict.fromkeys(tops[:-1]) if top >= 0]  # the last run starts at n
+    seeds += ((roots[c], ~c) for c in sorted(set(gone.values())))
+    search: dict[int, int] = {}  # piece -> its search
     owner: dict[int, int] = {}  # claimed vertex -> the search that claimed it
     parent: list[int] = []  # union-find over searches
     live: list[int] = []  # per group root: member searches with unread vertices
     comp: list[int] = []  # per search: the old id of its component
     claimed: list[list[int]] = []  # per search: its vertices, read in order
     unfinished: dict[int, int] = {}  # old id -> its unfinished groups
-    work = 0
-    for x in deleted:
-        work += len(adj[x])
-        for w in adj[x]:
-            c = labels[w]
-            if c < 0 or w in owner:
-                continue
-            top = tops[bisect_right(bounds, pre[w]) - 1]
-            i = search.setdefault(top if top >= 0 else ~c, len(parent))
-            if i == len(parent):
-                parent.append(i)
-                live.append(1)
-                comp.append(c)
-                claimed.append([])
-                unfinished[c] = unfinished.get(c, 0) + 1
-            owner[w] = i
-            claimed[i].append(w)
+    for v, piece in seeds:
+        c = labels[v]
+        if c < 0:  # a deleted root or child: that piece holds nothing more
+            continue
+        i = owner[v] = search[piece] = len(parent)
+        parent.append(i)
+        live.append(1)
+        comp.append(c)
+        claimed.append([v])
+        unfinished[c] = unfinished.get(c, 0) + 1
 
     def find(i):
         while parent[i] != i:
@@ -318,6 +353,7 @@ def split_labels(g, forest: Forest, deleted) -> tuple[list[int], int, int]:
             i = parent[i]
         return i
 
+    work = 0
     read = [0] * len(parent)
     turn = [i for i, c in enumerate(comp) if unfinished[c] > 1]
     while turn:
@@ -356,16 +392,16 @@ def split_labels(g, forest: Forest, deleted) -> tuple[list[int], int, int]:
                 if not live[r]:
                     unfinished[c] -= 1
         turn = later
-    ids: dict[int, int] = {}
+    ids: dict[int, int] = {}  # finished group root -> its new id
+    moved = []
     for i in range(len(parent)):
         r = find(i)
         if not live[r]:
-            if r not in ids:
-                ids[r] = count
-                count += 1
+            new = ids.setdefault(r, forest.count + len(ids))
             for v in claimed[i]:
-                labels[v] = ids[r]
-    return labels, count, work
+                labels[v] = new
+            moved.append((claimed[i], comp[i]))
+    return Split(gone, moved, {new: comp[r] for r, new in ids.items()}), work
 
 
 def reachable(g, active_mask: int, source: int) -> set[int]:

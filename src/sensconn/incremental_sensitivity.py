@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bits import all_bits, has_bit, word_count
+from .bits import has_bit, word_count
 from .connectivity_oracle import DecrementalOracle
 from .errors import QueryEndpointError
 from .graph_core import Graph, StatePartition, UpdateBatch, component_labels
@@ -117,8 +117,9 @@ class SuperGraph:
 def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
                      touched: tuple[DecrementalOracle, ...] = ()) -> SuperGraph:
     """Probe every unordered pair exactly once (no short-circuit, so the
-    probe counter is n*(n-1)/2 by construction); ``component_labels`` over
-    the sorted nodes' indices numbers the components by smallest node."""
+    probe counter is n*(n-1)/2 by construction), then label the bridge
+    graph by a search from each unlabeled node in ascending order, which
+    numbers the components by smallest node."""
     nodes = sorted(nodes)
     nbrs: list[list[int]] = [[] for _ in nodes]
     edges = []
@@ -130,7 +131,18 @@ def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
                 edges.append((x, nodes[j]))
                 nbrs[i].append(j)
                 nbrs[j].append(i)
-    labels, count = component_labels(Graph(len(nodes), len(edges), nbrs), all_bits(len(nodes)))
+    labels = [-1] * len(nodes)
+    count = 0
+    for s in range(len(nodes)):
+        if labels[s] < 0:
+            labels[s] = count
+            comp = [s]
+            for i in comp:  # comp grows while it is read: a breadth-first search
+                for j in nbrs[i]:
+                    if labels[j] < 0:
+                        labels[j] = count
+                        comp.append(j)
+            count += 1
     members: list[list[int]] = [[] for _ in range(count)]
     for x, c in zip(nodes, labels):
         members[c].append(x)

@@ -298,7 +298,7 @@ class TestSharedLabeling:
             top = mid.augment(extras[1:])
             assert top.root is base and top.extras == tuple(extras)
             assert top.active == base_mask | mask_of(extras)
-            assert top._fresh[0] is base._fresh[0]
+            assert top._labels is base._view  # a fresh member reads the root's fresh labels
             self.assert_matches_reference(top, top.active)
             for o in (base, mid, top):
                 o.delete_batch(batch)
@@ -321,22 +321,54 @@ class TestSharedLabeling:
         o.delete_batch(batch)
         assert len(labelings) == 1  # the root's build
         if root_holds != "own extra":
-            assert o.costs.t_u <= 40
+            # a private copy of the root's fresh labels, then a local split
+            replayed = base._undo.written() if base._undo else 0
+            assert o.costs.t_u - g.n - replayed <= 40
         assert o.query(0, 4) and not o.query(4, 6)
         assert o.query(6, g.n - 1) is (root_holds != "own extra")
 
     def test_a_member_deleting_only_its_extras_takes_the_roots_fresh_labels(self):
         # path 0-...-199,999 with 100 and 200 inactive in the root, which
         # holds {10,000}; the member over both is pushed {100} alone, so
-        # nothing of the root's is deleted and no O(n) copy is needed
+        # nothing of the root's is deleted and no O(n) copy is needed: the
+        # member reads the root's fresh labels through the root's undo record
         g = path_graph(200_000)
         base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100, 200]))
         o = base.augment([100, 200])
         base.delete_batch({10_000})
         o.delete_batch({100})
-        assert o._labels is base._fresh[0]
+        assert o._labels is base._view
         assert o.costs.t_u == len(g.adj[200])
         assert o.query(0, 99) and o.query(101, 10_001) and not o.query(99, 101)
+
+    def test_the_root_hands_its_list_to_a_member_before_writing_it(self):
+        # path 0-...-9 with 5 inactive in the root
+        g = path_graph(10)
+        base = make_oracle("rebuild", g, mask_of(range(10)) & ~mask_of([5]))
+        o = base.augment([5])
+        o.delete_batch({5})  # only its extra, while the root holds nothing
+        assert o._labels is base._labels
+        base.delete_batch({2})  # the push hands o a copy before the split
+        assert o._labels is not base._labels
+        assert o.query(0, 4) and o.query(6, 9) and not o.query(4, 6)
+        o.reset()
+        o.delete_batch({2})
+        assert o._labels is base._labels
+        base.reset()  # the reset hands o a copy before the undo
+        assert o._labels is not base._labels
+        assert o.query(3, 9) and not o.query(1, 3) and base.query(1, 3)
+
+    def test_a_member_pushed_alone_still_checks_its_batch(self):
+        # path 0-1-2-3-4 with 2 and 4 inactive in the root, which holds {0}
+        root = make_oracle("rebuild", path_graph(5), mask_of([0, 1, 3]))
+        o = root.augment([2])
+        root.delete_batch({0})
+        for bad in ({0, 4}, {4}, {1, -1}):
+            with pytest.raises(ContractViolation, match=r"^cannot delete (4|-1): not active"):
+                o.delete_batch(bad)
+            assert o.phase == "fresh"
+        o.delete_batch(root.deleted)  # the very set the root checked
+        assert o.phase == "updated" and o.query(1, 3)
 
     @pytest.mark.parametrize("factory", FACTORIES)
     def test_augment_takes_inactive_ids(self, factory):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import statistics
 import tracemalloc
 
 import pytest
@@ -243,6 +244,71 @@ class TestLabelingsPerBatch:
         a = fd_update(s, [], up)
         assert labelings == []
         assert len(a.touched) == 1 + len(up) + pairs_of(len(up))
+        fd_rollback(s, a)
+
+
+class TestPushCost:
+    """The root splits its one label list in place and its reset undoes the
+    split, so a cycle copies no O(n) list; a push's t_u counts every label it
+    writes or copies as well as the adjacency entries it reads."""
+
+    def test_a_cycle_on_a_long_path_copies_no_labels(self, monkeypatch):
+        n = 200_000
+        g = path_graph(n)
+        p = StatePartition.from_off(n, [100, n // 2, n - 100])
+        s = build_fully_dynamic(g, p)
+        handed = []  # entries each root push or reset copied to its members
+        hand_off = RebuildOracle._hand_off
+        monkeypatch.setattr(RebuildOracle, "_hand_off", lambda o: handed.append(hand_off(o)) or handed[-1])
+        a = fd_update(s, [1_000, n - 1_000], p.off_vertices)
+        assert len(a.touched) == 1 + 3 + 3
+        assert all(o._labels is s.base._labels and o.costs.t_u < 100 for o in a.touched[1:])
+        assert fd_query(s, a, 0, 999) and fd_query(s, a, 1_001, n - 1_001)  # through the activated vertices
+        assert not fd_query(s, a, 999, 1_001)
+        fd_rollback(s, a)
+        assert handed == [0, 0]
+        assert s.base._labels is s.base._forest.labels
+        assert s.base._labels == dfs_forest(g, p.on_mask).labels
+
+    def test_root_push_cost_per_deactivated_degree_is_flat_in_n(self):
+        # random graphs of average degree 8, eight inactive vertices; k flips,
+        # half of them deactivations: per deleted degree, the root's push
+        # reads and writes a bounded number of entries, whatever n is
+        medians, maxima = [], []
+        for n in (2_000, 20_000, 200_000):
+            rng = random.Random(n)
+            g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)))
+            p = StatePartition.from_off(n, rng.sample(range(n), 8))
+            s = build_fully_dynamic(g, p)
+            ratios = []
+            for k in (4, 8):
+                for _ in range(50):
+                    down = set()
+                    while len(down) < k // 2:
+                        v = rng.randrange(n)
+                        if p.is_on(v):
+                            down.add(v)
+                    a = fd_update(s, down, rng.sample(p.off_vertices, k // 2))
+                    ratios.append(s.base.costs.t_u / (k + sum(len(g.adj[x]) for x in down)))
+                    fd_rollback(s, a)
+            medians.append(statistics.median(ratios))
+            maxima.append(max(ratios))
+        assert max(medians) <= 2, medians
+        assert maxima[-1] <= 1.5 * maxima[0], maxima
+
+    def test_an_engine_update_checks_its_batch_once(self, monkeypatch):
+        rng = random.Random(8)
+        g = gnp_graph(24, 0.12, rng)
+        p = StatePartition.from_off(24, range(0, 24, 4))
+        s = build_fully_dynamic(g, p)
+        down, up = [1, 2, 3], [0, 4, 8]
+        fd_rollback(s, fd_update(s, down, up))  # builds the members, whose augment checks its extras
+        checked = []
+        has = DecrementalOracle._has
+        monkeypatch.setattr(DecrementalOracle, "_has", lambda o, v: checked.append(v) or has(o, v))
+        a = fd_update(s, down, up)
+        assert len(a.touched) == 1 + 3 + 3
+        assert sorted(checked) == down  # the root's check alone
         fd_rollback(s, a)
 
 

@@ -262,6 +262,9 @@ class TestDfsForest:
         pre, end = f.pre, f.end
         assert sorted(f.order) == active and all(pre[v] == i for i, v in enumerate(f.order))
         assert all(pre[v] == -1 for v in range(g.n) if not active_bits >> v & 1)
+        for c, r in enumerate(f.roots):  # each tree is rooted at its smallest vertex
+            assert r == f.labels.index(c) and end[r] - pre[r] == f.labels.count(c)
+        assert len(f.roots) == f.count
         for v in active:
             assert pre[v] < end[v] <= len(active)
             assert {f.labels[w] for w in f.order[pre[v]:end[v]]} == {f.labels[v]}
@@ -283,16 +286,26 @@ class TestDfsForest:
 
 
 class TestSplitLabels:
-    """split_labels must give the partition a fresh component_labels of the
-    survivors gives, reading at most 2m adjacency entries."""
+    """split_labels must write, in place, the partition a fresh
+    component_labels of the survivors gives, reading at most 2m adjacency
+    entries, and return a record that reads back and restores the forest's
+    labels, one entry per label written."""
 
     @staticmethod
     def split(g, active_bits, deleted):
-        got, count, work = split_labels(g, dfs_forest(g, active_bits), deleted)
+        forest = dfs_forest(g, active_bits)
+        labels = forest.labels
+        before = labels.copy()
+        undo, work = split_labels(g, forest, labels, deleted)
+        got, count = labels.copy(), forest.count + len(undo.origin)
         fresh, _ = component_labels(g, active_bits & ~mask_of(deleted))
         assert canonical(got) == canonical(fresh)
         assert max(got, default=-1) < count
         assert work <= 2 * g.m
+        assert undo.written() == sum(a != b for a, b in zip(before, got))
+        assert [undo.old(labels, v) for v in range(g.n)] == before
+        undo.undo(labels)
+        assert labels == before
         return got, count, work
 
     def test_exhaustive_small_graphs_and_deletion_sets(self):
@@ -326,7 +339,7 @@ class TestSplitLabels:
         g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
         labels, count, work = self.split(g, all_bits(5), [0, 1])
         assert labels == [-1, -1, 1, 1, 1]
-        assert (count, work) == (2, 2)
+        assert (count, work) == (2, 0)  # both pieces of {0, 1} are empty: nothing to search
 
     def test_adjacent_deleted_vertices(self):
         g = path_graph(7)
@@ -352,12 +365,15 @@ class TestSplitLabels:
         rng = random.Random(n)
         g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)))
         forest = dfs_forest(g, all_bits(n))
+        fresh = forest.labels.copy()
         for k in (1, 4, 8):
             ratios = []
             for _ in range(200):
                 deleted = rng.sample(range(n), k)
-                _, _, work = split_labels(g, forest, deleted)
+                undo, work = split_labels(g, forest, forest.labels, deleted)
+                undo.undo(forest.labels)
                 ratios.append(work / max(1, sum(len(g.adj[x]) for x in deleted)))
+            assert forest.labels == fresh
             assert statistics.median(ratios) <= 4 and max(ratios) <= 12, (k, statistics.median(ratios), max(ratios))
 
 
