@@ -210,11 +210,13 @@ class RebuildOracle(DecrementalOracle):
     """Baseline oracle: a component labeling of the survivors; queries are
     two label reads. The root labels its active set at build with a
     depth-first forest (``dfs_forest``), the family's only labeling from
-    scratch, and alone keeps that forest and its one live label list. A
-    push splits that list in place along the forest (``split_labels``),
-    reading less than the deleted vertices' degree on random graphs, and
-    keeps the undo record that ``reset`` replays: no push or reset costs
-    O(n).
+    scratch, and alone keeps that forest, its low points' range-minimum
+    table and its one live label list. A push splits that list in place
+    along the forest (``split_labels``) and keeps the undo record that
+    ``reset`` replays: no push or reset costs O(n). On random graphs range
+    minima over the low points show for nearly every batch that nothing
+    splits, and the push reads no adjacency; otherwise the forest's pieces
+    race, reading less than the deleted vertices' degree.
 
     A member records in O(deg) of its extras which components they join,
     over one of three label sources:
@@ -249,8 +251,10 @@ class RebuildOracle(DecrementalOracle):
             self._undo = None  # the Split of the batch held, if it deleted anything
             self._view = _FreshLabels(self)
             self._borrowers: set[RebuildOracle] = set()  # members that took _labels
-            self.costs.t_p += g.n + 2 * g.m
-            self.costs.space_s = 4 * g.n + self._forest.count + word_count(g.n)
+            # the range-minimum table reads each low point once and writes each entry once
+            lows = len(self._forest.low) + sum(map(len, self._forest.mins))
+            self.costs.t_p += g.n + 2 * g.m + lows
+            self.costs.space_s = 4 * g.n + lows + self._forest.count + word_count(g.n)
         else:
             (_, self._fresh_merge), work = self._extend(root._view, ())
             self.costs.t_p += work
@@ -262,8 +266,8 @@ class RebuildOracle(DecrementalOracle):
         if root is self:
             if vertices:
                 work = self._hand_off()
-                self._undo, reads = split_labels(self.graph, self._forest, self._labels, vertices)
-                work += reads + self._undo.written()
+                self._undo, reads, probes = split_labels(self.graph, self._forest, self._labels, vertices)
+                work += reads + probes + self._undo.written()
             else:
                 work = 1
             self.costs.t_u += work
@@ -280,8 +284,8 @@ class RebuildOracle(DecrementalOracle):
             if root._undo is not None:
                 root._undo.undo(labels)
                 work += root._undo.written()
-            undo, reads = split_labels(self.graph, root._forest, labels, held)
-            work += reads + undo.written()
+            undo, reads, probes = split_labels(self.graph, root._forest, labels, held)
+            work += reads + probes + undo.written()
         if vertices:
             (self._labels, self._merge), more = self._extend(labels, vertices)
             work += more

@@ -20,7 +20,7 @@ written in ASCII digits only.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -168,9 +168,15 @@ def component_labels(g, active_mask: int) -> tuple[list[int], int]:
     return labels, count
 
 
+# Positions per block of a forest's range-minimum table over its low points:
+# a query scans at most two partial blocks and reads two table entries.
+LOW_BLOCK = 8
+
+
 class Forest(NamedTuple):
     """A rooted depth-first spanning forest of the graph induced by an active
-    set, one tree per component, with that set's component labeling.
+    set, one tree per component, with that set's component labeling and the
+    low point of every vertex.
 
     ``labels`` and ``count`` are what ``component_labels`` returns for the
     same set; the tree labeled c is rooted at ``roots[c]``, its smallest
@@ -178,7 +184,11 @@ class Forest(NamedTuple):
     pre-order, ``order`` lists the vertices in that order, and v's subtree
     holds the positions ``pre[v]`` up to ``end[v]`` (exclusive); ``pre`` is
     -1 off the active set. Every edge between active vertices joins an
-    ancestor to a descendant. Only ``labels`` is ever written:
+    ancestor to a descendant. ``low[pre[v]]`` is the smallest position among
+    v and its active neighbours, so it names v's highest neighbouring
+    ancestor; ``mins`` is a sparse table over the minima of ``low``'s blocks
+    of ``LOW_BLOCK`` positions (row k, entry i: the minimum over the blocks i
+    up to i + 2^k), which ``low_min`` reads. Only ``labels`` is ever written:
     ``split_labels`` writes a split into it in place, and the ``Split`` it
     returns writes the forest's labeling back.
     """
@@ -189,19 +199,36 @@ class Forest(NamedTuple):
     end: list[int]
     order: list[int]
     roots: list[int]
+    low: list[int]
+    mins: list[list[int]]
+
+    def low_min(self, a: int, b: int) -> tuple[int, int]:
+        """The smallest ``low`` over the positions a up to b (a < b,
+        exclusive), and the entries of ``low`` and ``mins`` read: at most
+        2 * LOW_BLOCK."""
+        low = self.low
+        i, j = -(-a // LOW_BLOCK), b // LOW_BLOCK  # the whole blocks inside
+        if i >= j:
+            return min(low[a:b]), b - a
+        k = (j - i).bit_length() - 1  # two rows of 2^k blocks cover i up to j
+        row = self.mins[k]
+        edge = low[a : i * LOW_BLOCK] + low[j * LOW_BLOCK : b]
+        return min(row[i], row[j - (1 << k)], *edge), len(edge) + 2
 
 
 def dfs_forest(g, active_mask: int) -> Forest:
     """The depth-first forest of the subgraph induced by ``active_mask``,
-    grown by an iterative search from each component's smallest vertex, in
-    time linear in n + m.
+    grown by an iterative search from each component's smallest vertex, with
+    its low points and their range-minimum table, in time linear in n + m.
 
     A visited vertex v pushes the marker ``~v`` and then its unvisited
     neighbours, so everything visited before the marker pops again is v's
-    subtree. The stack holds only ints: with an iterator per tree-path
-    vertex, the garbage collector rescanned the million live iterators of
-    the 10^6-vertex path, half of the 1.4 s that search took (Python 3.11,
-    2-vCPU x86 host).
+    subtree, and every neighbour visited before v is an ancestor of v: v's
+    low point is the smallest of their positions, kept while the same loop
+    reads v's adjacency. The stack holds only ints: with an iterator per
+    tree-path vertex, the garbage collector rescanned the million live
+    iterators of the 10^6-vertex path, half of the 1.4 s that search took
+    (Python 3.11, 2-vCPU x86 host).
     """
     n, adj = g.n, g.adj
     on = active_flags(n, active_mask)
@@ -209,8 +236,9 @@ def dfs_forest(g, active_mask: int) -> Forest:
     pre = [-1] * n
     end = [0] * n
     order: list[int] = []
+    low: list[int] = []
     roots: list[int] = []
-    t = count = 0  # t: the next position; end shares its int objects with pre
+    t = count = 0  # t: the next position; end and low share its int objects with pre
     for s in range(n):
         if on[s] != "1" or labels[s] >= 0:
             continue
@@ -222,15 +250,28 @@ def dfs_forest(g, active_mask: int) -> Forest:
                 end[~v] = t
             elif labels[v] < 0:  # v may have been pushed by several neighbours
                 labels[v] = count
-                pre[v] = t
+                pre[v] = lo = t
                 t += 1
                 order.append(v)
                 stack.append(~v)
                 for w in adj[v]:
-                    if labels[w] < 0 and on[w] == "1":
-                        stack.append(w)
+                    if labels[w] < 0:
+                        if on[w] == "1":
+                            stack.append(w)
+                    elif pre[w] < lo:
+                        lo = pre[w]
+                low.append(lo)
         count += 1
-    return Forest(labels, count, pre, end, order, roots)
+    # block minima as one min per block over LOW_BLOCK strided slices; the
+    # last block is padded with its own last entry
+    padded = low + low[-1:] * (-t % LOW_BLOCK)
+    mins = [list(map(min, *(padded[i::LOW_BLOCK] for i in range(LOW_BLOCK))))]
+    h = 1
+    while 2 * h <= len(mins[0]):  # row k covers 2^k blocks from each entry
+        row = mins[-1]
+        mins.append([a if a < b else b for a, b in zip(row, row[h:])])
+        h *= 2
+    return Forest(labels, count, pre, end, order, roots, low, mins)
 
 
 def _piece_bounds(forest: Forest, deleted) -> tuple[list[int], list[int]]:
@@ -289,20 +330,68 @@ class Split(NamedTuple):
             labels[x] = c
 
 
-def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, int]:
+def _splits_nothing(forest: Forest, labels: list[int], gone: dict[int, int]) -> tuple[bool, int]:
+    """Whether deleting ``gone``'s vertices, which ``labels`` already holds
+    at -1, provably splits no component of ``forest``, read from its low
+    points alone; and the entries of ``low`` and ``mins`` read.
+
+    Each piece hanging under a surviving child c of a deleted vertex is
+    c's subtree less the subtrees of the outermost deleted vertices in it,
+    so a run of pre-order gaps. Its smallest low point m names the highest
+    vertex it neighbours; it is linked when m lies above c (m < pre[c]) and
+    ``order[m]`` survives, for then that vertex is a proper ancestor of c in
+    a piece whose top is shallower. If every hanging piece is linked and no
+    deleted vertex is a root, every piece reaches its tree's top piece, so
+    no component splits. False means a piece may be cut off; the check
+    stops at the first such piece. It costs one range minimum per gap:
+    O(children of the deleted vertices + d) queries, each O(LOW_BLOCK).
+    """
+    pre, end, order, roots = forest.pre, forest.end, forest.order, forest.roots
+    at = sorted(pre[x] for x in gone)
+    reads = 0
+    for x, c in gone.items():
+        if roots[c] == x:  # its tree has no top piece for the others to reach
+            return False, reads
+        top = pre[x] + 1
+        while top < end[x]:  # the subtrees of x's children tile its own
+            stop = end[order[top]]
+            if labels[order[top]] >= 0:
+                m = a = top
+                k = bisect_left(at, top)
+                while a < stop:  # each gap ends at an outermost deleted vertex or at stop
+                    b = at[k] if k < len(at) and at[k] < stop else stop
+                    if a < b:
+                        lo, r = forest.low_min(a, b)
+                        reads += r
+                        if lo < m:
+                            m = lo
+                    a = end[order[b]] if b < stop else stop
+                    k = bisect_left(at, a, k)
+                if m >= top or labels[order[m]] < 0:
+                    return False, reads
+            top = stop
+    return True, reads
+
+
+def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, int, int]:
     """Split ``labels``, which holds ``forest``'s labeling, in place into the
     labeling left when ``deleted`` leaves the forest's active set, found
     locally.
 
     ``deleted`` lies in that set and goes to -1; each piece split off an
     old component gets a new id from ``forest.count`` on.
-    Returns the undo record of what was written, and the work done: the
-    adjacency entries read, at most 2m.
+    Returns the undo record of what was written, the work done: the
+    adjacency entries read, at most 2m, and the entries of the forest's low
+    points and range-minimum table read.
 
     Deleting ``deleted`` cuts each tree into tree pieces: the subtree under
     each surviving child of a deleted vertex less the subtrees under deeper
     deleted vertices, and the tree's top piece, which holds its root unless
-    that is deleted. Each piece is connected, so one search per piece starts
+    that is deleted. First, range minima over the low points decide whether
+    every piece provably reaches its tree's top piece
+    (``_splits_nothing``); if so, nothing is split, and only the deleted
+    vertices' labels are written, with no adjacency read. Otherwise the
+    pieces race. Each piece is connected, so one search per piece starts
     from its top: the child or the root, with no adjacency read. The
     searches take turns reading one vertex each (Even & Shiloach, J. ACM
     28(1), 1981); a newly reached vertex's piece is one bisect away
@@ -321,6 +410,9 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
     gone = {x: labels[x] for x in deleted}
     for x in deleted:
         labels[x] = -1
+    certified, probes = _splits_nothing(forest, labels, gone)
+    if certified:
+        return Split(gone, [], {}), 0, probes
     bounds, tops = _piece_bounds(forest, deleted)
     # one seed per piece: each hanging piece, keyed by its top's position,
     # then the top piece of each touched tree, keyed by ~its old id. Hanging
@@ -401,7 +493,7 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
             for v in claimed[i]:
                 labels[v] = new
             moved.append((claimed[i], comp[i]))
-    return Split(gone, moved, {new: comp[r] for r, new in ids.items()}), work
+    return Split(gone, moved, {new: comp[r] for r, new in ids.items()}), work, probes
 
 
 def reachable(g, active_mask: int, source: int) -> set[int]:

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import sensconn.connectivity_oracle as oracle_mod
+import sensconn.graph_core as graph_core
 from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     DecrementalOracle,
@@ -67,10 +68,13 @@ class TestBuild:
 
     def test_preprocess_probes_accumulate(self, p5):
         """Preprocessing builds the base oracle alone, so its t_p is all the
-        work (``sensconn run`` reports it as preprocess_probes)."""
+        work (``sensconn run`` reports it as preprocess_probes): the forest's
+        n + 2m reads, then the range-minimum table's build, which reads each
+        low point and writes each table entry once."""
         g, p = p5
         s = build_fully_dynamic(g, p)
-        assert s.base.costs.t_p == g.n + 2 * g.m > 0
+        f = s.base._forest
+        assert s.base.costs.t_p == g.n + 2 * g.m + len(f.low) + sum(map(len, f.mins)) > 0
         assert (s.single, s.pairs) == ({}, {})
 
 
@@ -250,7 +254,8 @@ class TestLabelingsPerBatch:
 class TestPushCost:
     """The root splits its one label list in place and its reset undoes the
     split, so a cycle copies no O(n) list; a push's t_u counts every label it
-    writes or copies as well as the adjacency entries it reads."""
+    writes or copies as well as the adjacency entries, low points and table
+    entries it reads."""
 
     def test_a_cycle_on_a_long_path_copies_no_labels(self, monkeypatch):
         n = 200_000
@@ -270,27 +275,83 @@ class TestPushCost:
         assert s.base._labels is s.base._forest.labels
         assert s.base._labels == dfs_forest(g, p.on_mask).labels
 
-    def test_root_push_cost_per_deactivated_degree_is_flat_in_n(self):
-        # random graphs of average degree 8, eight inactive vertices; k flips,
-        # half of them deactivations: per deleted degree, the root's push
-        # reads and writes a bounded number of entries, whatever n is
-        medians, maxima = [], []
+    @pytest.fixture(scope="class")
+    def random_structures(self):
+        """Random graphs of average degree 8 at n = 2k, 20k and 200k, each
+        with eight inactive vertices and its structure, built once for the
+        class; with each, the state of the random stream that drew it."""
+        built = []
         for n in (2_000, 20_000, 200_000):
             rng = random.Random(n)
             g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)))
             p = StatePartition.from_off(n, rng.sample(range(n), 8))
-            s = build_fully_dynamic(g, p)
+            built.append((g, p, build_fully_dynamic(g, p), rng.getstate()))
+        return built
+
+    @staticmethod
+    def pushes(g, p, s, rng, k, batches):
+        """Push ``batches`` engine updates of k flips, half of them
+        deactivations; yields each batch's deactivated set while it is
+        pushed, and rolls it back after."""
+        for _ in range(batches):
+            down = set()
+            while len(down) < k // 2:
+                v = rng.randrange(g.n)
+                if p.is_on(v):
+                    down.add(v)
+            a = fd_update(s, down, rng.sample(p.off_vertices, k // 2))
+            try:
+                yield down
+            finally:  # the structure is shared by the class's tests
+                fd_rollback(s, a)
+
+    def test_root_push_cost_per_deactivated_degree_is_flat_in_n(self, random_structures):
+        # k flips, half of them deactivations: per deleted degree, the root's
+        # push reads and writes a bounded number of entries, whatever n is
+        medians, maxima = [], []
+        for g, p, s, state in random_structures:
+            rng = random.Random()
+            rng.setstate(state)
             ratios = []
             for k in (4, 8):
-                for _ in range(50):
-                    down = set()
-                    while len(down) < k // 2:
-                        v = rng.randrange(n)
-                        if p.is_on(v):
-                            down.add(v)
-                    a = fd_update(s, down, rng.sample(p.off_vertices, k // 2))
+                for down in self.pushes(g, p, s, rng, k, 50):
                     ratios.append(s.base.costs.t_u / (k + sum(len(g.adj[x]) for x in down)))
-                    fd_rollback(s, a)
+            medians.append(statistics.median(ratios))
+            maxima.append(max(ratios))
+        assert max(medians) <= 2, medians
+        assert maxima[-1] <= 1.5 * maxima[0], maxima
+
+    def test_the_low_point_certificate_decides_most_root_pushes(self, monkeypatch, random_structures):
+        # on random graphs a deleted vertex's hanging pieces nearly always
+        # reach above it, so range minima over the low points decide the
+        # push with no adjacency read, at a cost per deleted degree flat in n
+        decided, reads = [], []  # per split: the certificate's verdict, the adjacency entries read
+        certify, split = graph_core._splits_nothing, oracle_mod.split_labels
+
+        def certified(*args):
+            verdict, probes = certify(*args)
+            decided.append(verdict)
+            return verdict, probes
+
+        def counted(*args):
+            undo, work, probes = split(*args)
+            reads.append(work)
+            return undo, work, probes
+
+        monkeypatch.setattr(graph_core, "_splits_nothing", certified)
+        monkeypatch.setattr(oracle_mod, "split_labels", counted)
+        medians, maxima = [], []
+        for g, p, s, _ in random_structures:
+            rng = random.Random(-g.n)
+            decided.clear()
+            reads.clear()
+            ratios = []
+            for down in self.pushes(g, p, s, rng, 4, 50):
+                if decided[-1]:  # it wrote only the deleted vertices' labels
+                    assert reads[-1] == 0 and s.base._undo.written() == len(down)
+                    ratios.append(s.base.costs.t_u / (4 + sum(len(g.adj[x]) for x in down)))
+            assert len(decided) == len(reads) == 50  # one root push per batch, no member split
+            assert len(ratios) >= 45, (g.n, len(ratios))
             medians.append(statistics.median(ratios))
             maxima.append(max(ratios))
         assert max(medians) <= 2, medians

@@ -252,10 +252,12 @@ class TestDfsForest:
     """dfs_forest labels the components as component_labels does, list for
     list, ``order`` inverts ``pre``, and the pre-order intervals make a
     depth-first forest: intervals nest or are disjoint, each lies in one
-    component, and every edge joins an ancestor to a descendant."""
+    component, and every edge joins an ancestor to a descendant. ``low``
+    holds each vertex's low point, and ``low_min`` reads the minimum of any
+    run of them."""
 
     @staticmethod
-    def check(g, active_bits):
+    def check(g, active_bits, intervals=None):
         f = dfs_forest(g, active_bits)
         assert (f.labels, f.count) == component_labels(g, active_bits)
         active = list(iter_bits(active_bits))
@@ -274,6 +276,13 @@ class TestDfsForest:
             for w in g.adj[v]:
                 if active_bits >> w & 1:
                     assert pre[v] < pre[w] < end[v] or pre[w] < pre[v] < end[w]
+        assert len(f.low) == len(active)
+        for v in active:
+            assert f.low[pre[v]] == min([pre[v]] + [pre[w] for w in g.adj[v] if active_bits >> w & 1])
+        if intervals is None:
+            intervals = itertools.combinations(range(len(active) + 1), 2)
+        for a, b in intervals:
+            assert f.low_min(a, b)[0] == min(f.low[a:b]), (a, b)
 
     def test_exhaustive_small_graphs(self):
         for g, active_bits in small_instances(4):
@@ -282,7 +291,31 @@ class TestDfsForest:
     @given(graphs(max_n=40), st.data())
     @settings(max_examples=80)
     def test_random_graphs(self, g, data):
-        self.check(g, data.draw(st.integers(0, (1 << g.n) - 1)))
+        active_bits = data.draw(st.integers(0, (1 << g.n) - 1))
+        t = bin(active_bits).count("1")
+        rng = data.draw(st.randoms(use_true_random=False))
+        intervals = [sorted(rng.sample(range(t + 1), 2)) for _ in range(200)] if t else []
+        self.check(g, active_bits, intervals)
+
+    def test_range_minima_over_many_blocks(self):
+        # 300 positions fill 37 whole blocks, so every row of the table is read
+        rng = random.Random(300)
+        g = Graph.from_edges(300, ((rng.randrange(300), rng.randrange(300)) for _ in range(600)))
+        f = dfs_forest(g, all_bits(300))
+        for a in range(len(f.low)):
+            for b in range(a + 1, len(f.low) + 1):
+                assert f.low_min(a, b)[0] == min(f.low[a:b]), (a, b)
+
+
+def race(g, forest, labels, deleted):
+    """split_labels with its certificate forced to report that a piece may
+    be cut off, so the searches decide every batch."""
+    cert = graph_core._splits_nothing
+    graph_core._splits_nothing = lambda forest, labels, gone: (False, 0)
+    try:
+        return split_labels(g, forest, labels, deleted)
+    finally:
+        graph_core._splits_nothing = cert
 
 
 class TestSplitLabels:
@@ -296,7 +329,7 @@ class TestSplitLabels:
         forest = dfs_forest(g, active_bits)
         labels = forest.labels
         before = labels.copy()
-        undo, work = split_labels(g, forest, labels, deleted)
+        undo, work, probes = split_labels(g, forest, labels, deleted)
         got, count = labels.copy(), forest.count + len(undo.origin)
         fresh, _ = component_labels(g, active_bits & ~mask_of(deleted))
         assert canonical(got) == canonical(fresh)
@@ -306,7 +339,13 @@ class TestSplitLabels:
         assert [undo.old(labels, v) for v in range(g.n)] == before
         undo.undo(labels)
         assert labels == before
-        return got, count, work
+        # the searches alone write the same labels and the same record; a
+        # batch the certificate decides reads no adjacency
+        raced, raced_work, _ = race(g, forest, labels, deleted)
+        assert (labels, raced) == (got, undo)
+        assert work in (0, raced_work)
+        raced.undo(labels)
+        return got, count, work, probes
 
     def test_exhaustive_small_graphs_and_deletion_sets(self):
         for g, active_bits in small_instances(4):
@@ -324,26 +363,26 @@ class TestSplitLabels:
 
     def test_star_centre_leaves_one_piece_per_leaf(self):
         g = star_graph(9)
-        labels, count, _ = self.split(g, all_bits(9), [0])
+        labels, count, _, _ = self.split(g, all_bits(9), [0])
         assert labels[0] == -1
         assert sorted(labels[1:]) == list(range(8))
         assert count == 8
 
     def test_deletions_in_two_components(self):
         g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        labels, count, _ = self.split(g, all_bits(8), [1, 5])
+        labels, count, _, _ = self.split(g, all_bits(8), [1, 5])
         assert len(set(labels) - {-1}) == 4
         assert count == 4
 
     def test_deleting_a_whole_component_keeps_the_others(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
-        labels, count, work = self.split(g, all_bits(5), [0, 1])
+        labels, count, work, _ = self.split(g, all_bits(5), [0, 1])
         assert labels == [-1, -1, 1, 1, 1]
         assert (count, work) == (2, 0)  # both pieces of {0, 1} are empty: nothing to search
 
     def test_adjacent_deleted_vertices(self):
         g = path_graph(7)
-        labels, count, _ = self.split(g, all_bits(7), [3, 2])
+        labels, count, _, _ = self.split(g, all_bits(7), [3, 2])
         assert labels[:2] == [labels[0]] * 2 and labels[4:] == [labels[4]] * 3
         assert labels[0] != labels[4] and count == 2
 
@@ -353,15 +392,54 @@ class TestSplitLabels:
         edges += [(half + i, half + i + 1) for i in range(half - 1)]
         edges += [(2 * half, 0), (2 * half, half)]
         g = Graph.from_edges(2 * half + 1, edges)
-        labels, count, _ = self.split(g, all_bits(g.n), [2 * half])
+        labels, count, _, _ = self.split(g, all_bits(g.n), [2 * half])
         assert len(set(labels[:half])) == len(set(labels[half:-1])) == 1
         assert labels[0] != labels[half] and count == 2
+
+    def test_a_deleted_tree_root_is_refused_before_any_read(self):
+        # tree 0-2-1: the only piece hangs under the deleted root 0, so no
+        # piece can reach a top piece; the searches find it whole
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert dfs_forest(g, all_bits(3)).order == [0, 2, 1]
+        labels, count, work, probes = self.split(g, all_bits(3), [0])
+        assert labels == [-1, 0, 0] and count == 1
+        assert (work, probes) == (0, 0)
+
+    def test_nested_deletions_on_one_root_to_leaf_path(self):
+        # the square of a path: its forest is the single path
+        # 0, 2, ..., 10, 11, 9, ..., 1, so 7 lies under 3 and 3 under 6
+        n = 12
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+        assert dfs_forest(g, all_bits(n)).order == [0, 2, 4, 6, 8, 10, 11, 9, 7, 5, 3, 1]
+        labels, count, work, probes = self.split(g, all_bits(n), [7, 3])
+        assert (count, work) == (1, 0) and probes > 0  # both pieces reach above their parents
+        # the piece 8, 10, 11 under 6 reaches only 6 and the piece below it:
+        # nothing splits, but only the searches can tell
+        labels, count, work, _ = self.split(g, all_bits(n), [3, 6, 9])
+        assert count == 1 and work > 0
+
+    def test_a_piece_reaching_up_only_to_deleted_ancestors_is_cut_off(self):
+        # tree 0-1-3-2; the piece {2} under 3 neighbours 3 and 1 alone
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+        assert dfs_forest(g, all_bits(4)).order == [0, 1, 3, 2]
+        labels, count, _, _ = self.split(g, all_bits(4), [1, 3])
+        assert labels[0] != labels[2] and count == 2
+
+    def test_a_deleted_leafs_back_edge_links_no_piece(self):
+        # the 4-cycle's tree is 0-3-2-1; the deleted leaf 1 has the lowest
+        # low point in the run of the piece {2}, through its edge to 0
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        f = dfs_forest(g, all_bits(4))
+        assert (f.order, f.low) == ([0, 3, 2, 1], [0, 0, 1, 0])
+        labels, count, _, _ = self.split(g, all_bits(4), [3, 1])
+        assert labels[0] != labels[2] and count == 2
 
     @pytest.mark.parametrize("n", [2_000, 20_000])
     def test_work_on_random_graphs_follows_the_deleted_degree(self, n):
         # average degree 8; a hanging piece of a depth-first tree reaches
         # above its deleted parent within a read or two, so the searches read
-        # a few times the deleted vertices' adjacency, whatever n is
+        # a few times the deleted vertices' adjacency, whatever n is; the
+        # certificate reads none, and its batches split as the searches do
         rng = random.Random(n)
         g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)))
         forest = dfs_forest(g, all_bits(n))
@@ -370,9 +448,14 @@ class TestSplitLabels:
             ratios = []
             for _ in range(200):
                 deleted = rng.sample(range(n), k)
-                undo, work = split_labels(g, forest, forest.labels, deleted)
+                undo, work, _ = split_labels(g, forest, forest.labels, deleted)
+                got = forest.labels.copy()
                 undo.undo(forest.labels)
-                ratios.append(work / max(1, sum(len(g.adj[x]) for x in deleted)))
+                raced, raced_work, _ = race(g, forest, forest.labels, deleted)
+                assert (forest.labels, raced) == (got, undo)
+                assert work in (0, raced_work)
+                raced.undo(forest.labels)
+                ratios.append(raced_work / max(1, sum(len(g.adj[x]) for x in deleted)))
             assert forest.labels == fresh
             assert statistics.median(ratios) <= 4 and max(ratios) <= 12, (k, statistics.median(ratios), max(ratios))
 

@@ -26,12 +26,12 @@ MIXED_HEAD = "n=6 m=6 n_on=5 n_off=1 deactivations=1 activations=1 batch_size=2 
 REPORTS = {
     ("p5", "inc"): (0, f"algorithm=inc oracle=- {P5_HEAD} preprocess_edge_probes=2 preprocess_or_words=2 "
                        "update_pair_probes=0 query_probes_total=4 query_probes_max=2 errors=0 results=111"),
-    ("p5", "fd"): (0, f"algorithm=fd oracle=rebuild {P5_HEAD} preprocess_oracle_count=2 preprocess_probes=13 "
+    ("p5", "fd"): (0, f"algorithm=fd oracle=rebuild {P5_HEAD} preprocess_oracle_count=2 preprocess_probes=18 "
                       "update_delete_calls=2 update_pair_queries=0 query_calls_total=7 query_calls_max=3 "
                       "errors=0 results=111"),
     ("p5", "bf"): (0, f"algorithm=bf oracle=- {P5_HEAD} errors=0 results=111"),
     ("mixed", "fd"): (3, f"algorithm=fd oracle=rebuild {MIXED_HEAD} preprocess_oracle_count=2 "
-                         "preprocess_probes=18 update_delete_calls=2 update_pair_queries=0 "
+                         "preprocess_probes=24 update_delete_calls=2 update_pair_queries=0 "
                          "query_calls_total=7 query_calls_max=3 errors=1 results=111E"),
     ("mixed", "bf"): (3, f"algorithm=bf oracle=- {MIXED_HEAD} errors=1 results=111E"),
 }
