@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from .bits import all_bits, mask_of, word_count
+from .bits import all_bits, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
 from .graph_core import active_flags, dfs_forest, split_labels
 
@@ -27,8 +27,8 @@ class OracleCosts:
     """Abstract work counters in elementary probes, not wall clock.
 
     ``t_p`` and ``space_s`` are set by preprocessing; ``t_u`` grows with a
-    push, by every entry it reads, writes or copies, and ``rebase`` drops it
-    back to 0. Queries count nothing.
+    push, by every entry it reads and every entry it records, and ``rebase``
+    drops it back to 0. Queries count nothing.
     """
 
     t_p: int = 0
@@ -64,12 +64,11 @@ class DecrementalOracle(abc.ABC):
     the root's push made.
 
     ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``; a
-    member's push may read and register with its ``root``, and a root's push
-    or reset may write the members that reuse its work. ``query`` only
-    reads. Concurrent queries on one oracle are therefore safe, but no call
-    on any oracle of a family may overlap a push or reset in that family.
-    Reset a family's members before its root: a root reset first may have to
-    give members a copy of what it is about to undo.
+    member's push may read its ``root``, and no push or reset writes another
+    oracle. ``query`` only reads. Concurrent queries on one oracle are
+    therefore safe, but no call on any oracle of a family may overlap a push
+    or reset in that family. Members and their root may be reset in any
+    order.
     """
 
     name = "abstract"
@@ -88,11 +87,6 @@ class DecrementalOracle(abc.ABC):
         self.deleted: frozenset[int] = frozenset()
         self.phase = FRESH
         self._preprocess()
-
-    @property
-    def active(self) -> int:
-        """The active vertex mask, built from the root's when read."""
-        return self.root.mask | mask_of(self.extras)
 
     def augment(self, extras) -> "DecrementalOracle":
         """An oracle of the same factory in this oracle's family, over its
@@ -191,54 +185,34 @@ def oracle_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-class _FreshLabels:
-    """A root's fresh labels, read through its live list and the undo record
-    of the split it holds: what a member reads while its root holds one."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, root):
-        self.root = root
-
-    def __getitem__(self, v):
-        labels, undo = self.root._labels, self.root._undo
-        return labels[v] if undo is None else undo.old(labels, v)
-
-
 @register_oracle
 class RebuildOracle(DecrementalOracle):
-    """Baseline oracle: a component labeling of the survivors; queries are
-    two label reads. The root labels its active set at build with a
-    depth-first forest (``dfs_forest``), the family's only labeling from
-    scratch, and alone keeps that forest, its low points' range-minimum
-    table and its one live label list. A push splits that list in place
-    along the forest (``split_labels``) and keeps the undo record that
-    ``reset`` replays: no push or reset costs O(n). On random graphs range
-    minima over the low points show for nearly every batch that nothing
-    splits, and the push reads no adjacency; otherwise the forest's pieces
-    race, reading less than the deleted vertices' degree.
+    """Baseline oracle: a component labeling of the survivors; a query is
+    two label reads and at most two map lookups per endpoint. The root
+    labels its active set at build with a depth-first forest
+    (``dfs_forest``), the family's only labeling from scratch, and alone
+    keeps that forest and its low points' range-minimum table. Nothing
+    writes the forest's labels, the fresh labeling every oracle of the
+    family reads. A push finds along the forest the vertices its batch
+    relabels (``split_labels``) and keeps them as a small map, ``moved``;
+    ``reset`` drops it, so no push or reset costs O(n). On random graphs
+    range minima over the low points show for nearly every batch that
+    nothing splits, and the push reads no adjacency and records nothing;
+    otherwise the forest's pieces race, reading less than the deleted
+    vertices' degree.
 
-    A member records in O(deg) of its extras which components they join,
-    over one of three label sources:
+    A member shares its root's ``moved`` when the root holds exactly the
+    member's deletions less its extras; that is the engine's path, an
+    activation-only batch included. Any other member splits its own
+    deletions along the root's forest, the same local work as a root's push.
+    Either way it then records in O(deg) of its extras which components
+    they join, in its ``merge`` map.
 
-    - the root's live list, borrowed, when the root holds exactly the
-      member's deletions less its extras; that is the engine's path, an
-      activation-only batch included;
-    - the root's fresh labels read through its undo record
-      (``_FreshLabels``), when the member deletes only its extras while the
-      root holds a batch, and whenever the member is fresh;
-    - else a private copy of the root's fresh labels, split the same way,
-      which costs O(n).
-
-    Before a push or reset of the root writes its list, it gives a copy to
-    every member still holding it (the hand-off), so that member's answers
-    stay right. Resetting the members before their root, as the engine does,
-    leaves nothing to hand off.
-
-    A labeling is ``(labels, merge)``. ``labels`` labels some survivors and
-    is -1 elsewhere; only its root writes it. A vertex's key is its label,
-    or ``~v`` where the label is -1; ``merge`` maps keys to component ids (an
-    absent key is its own id) and holds every survivor left at -1.
+    A vertex's label is ``moved``'s entry for it, else its fresh label. Its
+    key is that label, or ``~v`` where the label is -1; ``merge`` maps keys
+    to component ids (an absent key is its own id) and holds every survivor
+    left at -1. A deleted vertex keeps its labels, so a reader tests it
+    against the batch.
     """
 
     name = "rebuild"
@@ -247,69 +221,37 @@ class RebuildOracle(DecrementalOracle):
         g, root = self.graph, self.root
         if root is self:
             self._forest = dfs_forest(g, self.mask)
-            self._labels, self._merge = self._forest.labels, {}
-            self._undo = None  # the Split of the batch held, if it deleted anything
-            self._view = _FreshLabels(self)
-            self._borrowers: set[RebuildOracle] = set()  # members that took _labels
             # the range-minimum table reads each low point once and writes each entry once
             lows = len(self._forest.low) + sum(map(len, self._forest.mins))
             self.costs.t_p += g.n + 2 * g.m + lows
             self.costs.space_s = 4 * g.n + lows + self._forest.count + word_count(g.n)
-        else:
-            (_, self._fresh_merge), work = self._extend(root._view, ())
+        self._labels, self._moved = root._forest.labels, {}
+        self._fresh_merge, work = self._extend(frozenset())
+        self._merge = self._fresh_merge
+        if root is not self:
             self.costs.t_p += work
             self.costs.space_s = 1 + len(self.extras) + len(self._fresh_merge)
-            self._labels, self._merge = root._view, self._fresh_merge
 
     def _apply_delete(self, vertices):
-        root, extras = self.root, self.extras
-        if root is self:
-            if vertices:
-                work = self._hand_off()
-                self._undo, reads, probes = split_labels(self.graph, self._forest, self._labels, vertices)
-                work += reads + probes + self._undo.written()
-            else:
-                work = 1
-            self.costs.t_u += work
+        if not vertices:  # the fresh labeling answers already
+            self.costs.t_u += 1
             return
+        root, extras = self.root, self.extras
         held = vertices if vertices.isdisjoint(extras) else vertices.difference(extras)
-        if root.deleted == held:  # a member pushed after its root, as the engine does
-            labels, work = root._labels, 0
-            root._borrowers.add(self)
-        elif not held:  # a member whose batch deletes only its own extras
-            labels, work = root._view, 0
-        else:  # a member whose root holds another batch, or nothing
-            labels = root._labels.copy()
-            work = len(labels)
-            if root._undo is not None:
-                root._undo.undo(labels)
-                work += root._undo.written()
-            undo, reads, probes = split_labels(self.graph, root._forest, labels, held)
-            work += reads + probes + undo.written()
-        if vertices:
-            (self._labels, self._merge), more = self._extend(labels, vertices)
-            work += more
-        else:
-            self._labels, self._merge, work = labels, self._fresh_merge, 1
-        self.costs.t_u += work
+        if root is not self and root.deleted == held:  # a member pushed after its root, as the engine does
+            self._moved, work = root._moved, 0
+        else:  # the root, or a member whose root holds another batch or nothing
+            self._moved, reads, probes = split_labels(self.graph, root._forest, held)
+            work = len(held) + reads + probes + len(self._moved)
+        self._merge, more = self._extend(vertices)
+        self.costs.t_u += work + more
 
-    def _hand_off(self) -> int:
-        """Give each member still holding the root's live list a copy of it,
-        just before the root writes the list; returns the entries copied."""
-        live, copied = self._labels, 0
-        for o in self._borrowers:
-            if o._labels is live:
-                o._labels = live.copy()
-                copied += len(live)
-        self._borrowers.clear()
-        return copied
-
-    def _extend(self, labels, gone):
-        """``labels`` plus this oracle's extras outside ``gone``, and the
-        adjacency entries read. Every label an extra's neighbours carry maps
-        to that extra's key; the second extra joins the first one's key when
-        the two are adjacent or touch a common label."""
-        adj = self.graph.adj
+    def _extend(self, gone):
+        """The merge map of this oracle's extras outside ``gone`` and the
+        adjacency entries read. Every label an extra's surviving neighbours
+        carry maps to that extra's key; the second extra joins the first
+        one's key when the two are adjacent or touch a common label."""
+        adj, labels, moved = self.graph.adj, self._labels, self._moved
         merge: dict[int, int] = {}
         work = 0
         first = None  # the first surviving extra and the labels it touches
@@ -318,7 +260,10 @@ class RebuildOracle(DecrementalOracle):
                 continue
             nbrs = adj[x]
             work += len(nbrs)
-            touched = {c for w in nbrs if (c := labels[w]) >= 0}
+            if moved or not gone.isdisjoint(nbrs):
+                touched = {c for w in nbrs if w not in gone and (c := moved.get(w, labels[w])) >= 0}
+            else:
+                touched = {c for w in nbrs if (c := labels[w]) >= 0}
             key = ~x
             if first is None:
                 first = x, touched
@@ -326,20 +271,16 @@ class RebuildOracle(DecrementalOracle):
                 key = ~first[0]
             merge[~x] = key
             merge.update(dict.fromkeys(touched, key))
-        return (labels, merge), work
+        return merge, work
 
     def _apply_reset(self):
-        if self.root is self:
-            if self._undo is not None:
-                self._hand_off()
-                self._undo.undo(self._labels)
-                self._undo = None
-        else:
-            self._labels, self._merge = self.root._view, self._fresh_merge
+        self._moved, self._merge = {}, self._fresh_merge
 
     def _connected(self, u, v):
-        labels, merge = self._labels, self._merge
+        labels, moved, merge = self._labels, self._moved, self._merge
         lu, lv = labels[u], labels[v]
+        if moved:
+            lu, lv = moved.get(u, lu), moved.get(v, lv)
         if merge:
             lu = merge.get(lu if lu >= 0 else ~u, lu)
             lv = merge.get(lv if lv >= 0 else ~v, lv)

@@ -16,15 +16,14 @@ its endpoints, so the engine checks none itself.
 The base oracle is the family's root: it alone holds the active set, and an
 augmented oracle holds only its one or two extra vertices, the most
 ``augment`` allows. With the ``rebuild`` factory the root labels the survivors
-once at build, by a depth-first forest it keeps, and in each update that
-deactivates anything splits that labeling in place, locally along the
-forest: one search per tree piece the deactivations cut, started from the
-piece's top, and pieces merge when a search reads an edge between them. So
-on random graphs a push reads less than the deactivated vertices' degree
-and writes a few labels, whatever n is; rollback writes those labels back.
-The base is pushed first, so each augmented oracle borrows those labels and
-reads only its extras' adjacency, and rollback resets the base last, so it
-hands no copy of its labels to a member.
+once at build, by a depth-first forest it keeps and never writes, and in
+each update that deactivates anything finds the split of that labeling
+locally along the forest: one search per tree piece the deactivations cut,
+started from the piece's top, and pieces merge when a search reads an edge
+between them. So on random graphs a push reads less than the deactivated
+vertices' degree and records a few relabeled vertices, whatever n is;
+rollback drops that record. The base is pushed first, so each augmented
+oracle shares that record and reads only its extras' adjacency.
 
 Also provides the doubling wrapper: power-of-two levels 2, 4, ..., 2^l that
 share one structure, so only a batch above the largest level is refused
@@ -49,11 +48,10 @@ class FullyDynamicStructure:
     first push, and it is kept, rollback included.
 
     fd_update and fd_rollback build, push deletions into and reset the
-    oracles, so they need exclusive access: a base push or reset may also
-    write the members. Both reset the members before the base. fd_query
-    builds nothing and only reads the oracles, and like incremental_query it
-    writes only its batch's ``query_probes``: concurrent queries on one batch
-    answer correctly but may under-count.
+    oracles, so they need exclusive access. fd_query builds nothing and only
+    reads the oracles, and like incremental_query it writes only its batch's
+    ``query_probes``: concurrent queries on one batch answer correctly but
+    may under-count.
     """
 
     partition: StatePartition
@@ -95,11 +93,11 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     and build_probes = C(|I|, 2) pair queries, where I is the activation set.
     An augmented oracle is built by the first batch that pushes it, before
     that batch's first push. The base oracle is pushed first, so with
-    ``rebuild`` the family shares the base's labeling, split in place around
-    the deactivated vertices, and each member, pushed that very set, skips
-    the batch check the base made. If any step raises, the batch's oracles are
-    reset, the base last, and no half-built oracle is kept before the
-    exception propagates, so the structure stays ready for the next update.
+    ``rebuild`` the family shares the base's split around the deactivated
+    vertices, and each member, pushed that very set, skips the batch check
+    the base made. If any step raises, the batch's oracles are reset and no
+    half-built oracle is kept before the exception propagates, so the
+    structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
@@ -114,7 +112,7 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
             o.delete_batch(batch.deactivate)
         sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y), touched=tuple(oracles))
     except BaseException:
-        for o in reversed(oracles):  # the base last; reset() of an unpushed oracle is a no-op
+        for o in oracles:  # reset() of an unpushed oracle is a no-op
             o.reset()
         raise
     s.session = sg
@@ -176,12 +174,10 @@ def fd_query(s: FullyDynamicStructure, a: SuperGraph, u: int, v: int) -> bool:
 
 
 def fd_rollback(s: FullyDynamicStructure, a: SuperGraph) -> None:
-    """Reset every oracle the update touched, the base last, and clear the
-    session. A base reset before its members would give each one a copy of
-    its labels first."""
+    """Reset every oracle the update touched and clear the session."""
     if s.session is not a:
         raise ContractViolation("stale update handle")
-    for o in reversed(a.touched):
+    for o in a.touched:
         o.reset()
     s.session = None
 

@@ -188,9 +188,9 @@ class Forest(NamedTuple):
     v and its active neighbours, so it names v's highest neighbouring
     ancestor; ``mins`` is a sparse table over the minima of ``low``'s blocks
     of ``LOW_BLOCK`` positions (row k, entry i: the minimum over the blocks i
-    up to i + 2^k), which ``low_min`` reads. Only ``labels`` is ever written:
-    ``split_labels`` writes a split into it in place, and the ``Split`` it
-    returns writes the forest's labeling back.
+    up to i + 2^k), which ``low_min`` reads. Nothing writes a forest after
+    ``dfs_forest`` returns it: ``split_labels`` returns a split as the few
+    labels that change.
     """
 
     labels: list[int]
@@ -302,38 +302,10 @@ def _piece_bounds(forest: Forest, deleted) -> tuple[list[int], list[int]]:
     return bounds, tops
 
 
-class Split(NamedTuple):
-    """The undo record of one ``split_labels``: what it wrote over a
-    labeling. ``gone`` maps each deleted vertex to its old label, ``moved``
-    pairs each run of relabeled vertices with the old id they all had, and
-    ``origin`` maps each new id to the old id it was split off."""
-
-    gone: dict[int, int]
-    moved: list[tuple[list[int], int]]
-    origin: dict[int, int]
-
-    def written(self) -> int:
-        """The labels the split wrote, one undo entry each."""
-        return len(self.gone) + sum(len(vs) for vs, _ in self.moved)
-
-    def old(self, labels: list[int], v: int) -> int:
-        """v's label before the split, read from ``labels`` after it."""
-        c = labels[v]
-        return self.origin.get(c, c) if c >= 0 else self.gone.get(v, -1)
-
-    def undo(self, labels: list[int]) -> None:
-        """Write the old labels back over the split ones, in O(written)."""
-        for vs, c in self.moved:
-            for v in vs:
-                labels[v] = c
-        for x, c in self.gone.items():
-            labels[x] = c
-
-
-def _splits_nothing(forest: Forest, labels: list[int], gone: dict[int, int]) -> tuple[bool, int]:
-    """Whether deleting ``gone``'s vertices, which ``labels`` already holds
-    at -1, provably splits no component of ``forest``, read from its low
-    points alone; and the entries of ``low`` and ``mins`` read.
+def _splits_nothing(forest: Forest, deleted: list[int], gone: frozenset[int]) -> tuple[bool, int]:
+    """Whether deleting ``deleted``, in ascending order, with ``gone`` the
+    same vertices as a set, provably splits no component of ``forest``, read
+    from its low points alone; and the entries of ``low`` and ``mins`` read.
 
     Each piece hanging under a surviving child c of a deleted vertex is
     c's subtree less the subtrees of the outermost deleted vertices in it,
@@ -347,15 +319,16 @@ def _splits_nothing(forest: Forest, labels: list[int], gone: dict[int, int]) -> 
     O(children of the deleted vertices + d) queries, each O(LOW_BLOCK).
     """
     pre, end, order, roots = forest.pre, forest.end, forest.order, forest.roots
-    at = sorted(pre[x] for x in gone)
+    labels = forest.labels
+    at = sorted(pre[x] for x in deleted)
     reads = 0
-    for x, c in gone.items():
-        if roots[c] == x:  # its tree has no top piece for the others to reach
+    for x in deleted:
+        if roots[labels[x]] == x:  # its tree has no top piece for the others to reach
             return False, reads
         top = pre[x] + 1
         while top < end[x]:  # the subtrees of x's children tile its own
             stop = end[order[top]]
-            if labels[order[top]] >= 0:
+            if order[top] not in gone:
                 m = a = top
                 k = bisect_left(at, top)
                 while a < stop:  # each gap ends at an outermost deleted vertex or at stop
@@ -367,34 +340,34 @@ def _splits_nothing(forest: Forest, labels: list[int], gone: dict[int, int]) -> 
                             m = lo
                     a = end[order[b]] if b < stop else stop
                     k = bisect_left(at, a, k)
-                if m >= top or labels[order[m]] < 0:
+                if m >= top or order[m] in gone:
                     return False, reads
             top = stop
     return True, reads
 
 
-def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, int, int]:
-    """Split ``labels``, which holds ``forest``'s labeling, in place into the
-    labeling left when ``deleted`` leaves the forest's active set, found
-    locally.
-
-    ``deleted`` lies in that set and goes to -1; each piece split off an
-    old component gets a new id from ``forest.count`` on.
-    Returns the undo record of what was written, the work done: the
-    adjacency entries read, at most 2m, and the entries of the forest's low
-    points and range-minimum table read.
+def split_labels(g, forest: Forest, deleted) -> tuple[dict[int, int], int, int]:
+    """The labeling left when ``deleted`` leaves ``forest``'s active set,
+    found locally and returned as a change to the forest's labels, which it
+    never writes: ``moved`` maps each vertex of a piece split off an old
+    component to its new id, from ``forest.count`` on. Every other survivor
+    keeps its forest label. The deleted vertices, which lie in that set,
+    keep theirs too, so readers test them against the batch.
+    Returns ``moved`` and the work done: the adjacency entries read, at
+    most 2m, and the entries of the forest's low points and range-minimum
+    table read.
 
     Deleting ``deleted`` cuts each tree into tree pieces: the subtree under
     each surviving child of a deleted vertex less the subtrees under deeper
     deleted vertices, and the tree's top piece, which holds its root unless
     that is deleted. First, range minima over the low points decide whether
     every piece provably reaches its tree's top piece
-    (``_splits_nothing``); if so, nothing is split, and only the deleted
-    vertices' labels are written, with no adjacency read. Otherwise the
-    pieces race. Each piece is connected, so one search per piece starts
-    from its top: the child or the root, with no adjacency read. The
-    searches take turns reading one vertex each (Even & Shiloach, J. ACM
-    28(1), 1981); a newly reached vertex's piece is one bisect away
+    (``_splits_nothing``); if so, nothing is split and ``moved`` is empty,
+    with no adjacency read. Otherwise the pieces race. Each piece is
+    connected, so one search per piece starts from its top: the child or
+    the root, with no adjacency read. The searches take turns reading one
+    vertex each (Even & Shiloach, J. ACM 28(1), 1981); a newly reached
+    vertex's piece is one bisect away
     (``_piece_bounds``). A search claims only its own piece's vertices;
     reading a neighbour in another piece merges the two searches' groups.
     Once a component has at most one unfinished group left, each finished
@@ -405,14 +378,12 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
     by one search at most, so the worst case, one deletion splitting a
     component into two large pieces, stays O(n + m).
     """
-    adj, pre, order, roots = g.adj, forest.pre, forest.order, forest.roots
-    deleted = sorted(deleted)  # numbers the pieces deterministically
-    gone = {x: labels[x] for x in deleted}
-    for x in deleted:
-        labels[x] = -1
-    certified, probes = _splits_nothing(forest, labels, gone)
+    adj, labels, pre, order, roots = g.adj, forest.labels, forest.pre, forest.order, forest.roots
+    gone = frozenset(deleted)
+    deleted = sorted(gone)  # numbers the pieces deterministically
+    certified, probes = _splits_nothing(forest, deleted, gone)
     if certified:
-        return Split(gone, [], {}), 0, probes
+        return {}, 0, probes
     bounds, tops = _piece_bounds(forest, deleted)
     # one seed per piece: each hanging piece, keyed by its top's position,
     # then the top piece of each touched tree, keyed by ~its old id. Hanging
@@ -420,7 +391,7 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
     # piece in their first read, so the top search, which starts at the
     # root, far from the deletions, mostly reads nothing.
     seeds = [(order[top], top) for top in dict.fromkeys(tops[:-1]) if top >= 0]  # the last run starts at n
-    seeds += ((roots[c], ~c) for c in sorted(set(gone.values())))
+    seeds += ((roots[c], ~c) for c in sorted({labels[x] for x in deleted}))
     search: dict[int, int] = {}  # piece -> its search
     owner: dict[int, int] = {}  # claimed vertex -> the search that claimed it
     parent: list[int] = []  # union-find over searches
@@ -429,9 +400,9 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
     claimed: list[list[int]] = []  # per search: its vertices, read in order
     unfinished: dict[int, int] = {}  # old id -> its unfinished groups
     for v, piece in seeds:
-        c = labels[v]
-        if c < 0:  # a deleted root or child: that piece holds nothing more
+        if v in gone:  # a deleted root or child: that piece holds nothing more
             continue
+        c = labels[v]
         i = owner[v] = search[piece] = len(parent)
         parent.append(i)
         live.append(1)
@@ -461,7 +432,7 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
             for w in adj[v]:
                 o = owner.get(w)
                 if o is None:
-                    if labels[w] < 0:
+                    if labels[w] < 0 or w in gone:
                         continue
                     top = tops[bisect_right(bounds, pre[w]) - 1]
                     o = search[top if top >= 0 else ~c]
@@ -485,15 +456,12 @@ def split_labels(g, forest: Forest, labels: list[int], deleted) -> tuple[Split, 
                     unfinished[c] -= 1
         turn = later
     ids: dict[int, int] = {}  # finished group root -> its new id
-    moved = []
+    moved: dict[int, int] = {}
     for i in range(len(parent)):
         r = find(i)
         if not live[r]:
-            new = ids.setdefault(r, forest.count + len(ids))
-            for v in claimed[i]:
-                labels[v] = new
-            moved.append((claimed[i], comp[i]))
-    return Split(gone, moved, {new: comp[r] for r, new in ids.items()}), work, probes
+            moved.update(dict.fromkeys(claimed[i], ids.setdefault(r, forest.count + len(ids))))
+    return moved, work, probes
 
 
 def reachable(g, active_mask: int, source: int) -> set[int]:

@@ -47,7 +47,8 @@ def keeps_deletion(oracle_registry):
         name = KEEPS_DELETION
 
         def _preprocess(self):
-            self._alive = self.active
+            # the root's flag string plus this oracle's extras
+            self._alive = mask_of([v for v, c in enumerate(self.on) if c == "1"] + list(self.extras))
 
         def _apply_delete(self, vertices):
             self._alive ^= mask_of(vertices)

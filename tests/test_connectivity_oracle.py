@@ -16,7 +16,7 @@ from sensconn.connectivity_oracle import (
 )
 from sensconn.errors import ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import cycle_graph, gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, component_labels, reachable
+from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest, reachable
 from sensconn.verify import connected_by_set, connected_via_component
 
 from reference import brute_connected, brute_reach
@@ -256,7 +256,7 @@ class TestSharedLabeling:
     def test_fresh_answers(self):
         for _, g, base_mask, extras, _ in self.instances(1):
             _, o = self.augmented(g, base_mask, extras)
-            self.assert_matches_reference(o, o.active)
+            self.assert_matches_reference(o, base_mask | mask_of(extras))
 
     @pytest.mark.parametrize("base_holds", ["same batch", "nothing", "another batch"])
     def test_delete_whatever_the_base_holds(self, base_holds):
@@ -267,9 +267,10 @@ class TestSharedLabeling:
             elif base_holds == "another batch" and base_mask:
                 base.delete_batch(batch ^ {rng.choice(sorted(iter_bits(base_mask)))})
             o.delete_batch(batch)
-            self.assert_matches_reference(o, o.active & ~mask_of(batch))
+            active = base_mask | mask_of(extras)
+            self.assert_matches_reference(o, active & ~mask_of(batch))
             o.reset()
-            self.assert_matches_reference(o, o.active)
+            self.assert_matches_reference(o, active)
 
     def test_base_reset_while_the_oracle_holds_its_batch(self):
         for rng, g, base_mask, extras, batch in self.instances(3):
@@ -279,7 +280,7 @@ class TestSharedLabeling:
             base.reset()
             if base_mask:
                 base.delete_batch({rng.choice(sorted(iter_bits(base_mask)))})
-            self.assert_matches_reference(o, o.active & ~mask_of(batch))
+            self.assert_matches_reference(o, (base_mask | mask_of(extras)) & ~mask_of(batch))
 
     def test_deleting_an_own_extra(self):
         for rng, g, base_mask, extras, batch in self.instances(4):
@@ -287,7 +288,7 @@ class TestSharedLabeling:
             base.delete_batch(batch)
             mine = batch | {rng.choice(extras)}
             o.delete_batch(mine)
-            self.assert_matches_reference(o, o.active & ~mask_of(mine))
+            self.assert_matches_reference(o, (base_mask | mask_of(extras)) & ~mask_of(mine))
 
     def test_an_augment_of_an_augment_reuses_the_root(self):
         # base -> one extra -> two extras: top joins base's family, so it
@@ -297,13 +298,14 @@ class TestSharedLabeling:
             mid = base.augment(extras[:1])
             top = mid.augment(extras[1:])
             assert top.root is base and top.extras == tuple(extras)
-            assert top.active == base_mask | mask_of(extras)
-            assert top._labels is base._view  # a fresh member reads the root's fresh labels
-            self.assert_matches_reference(top, top.active)
+            assert top.on is base.on
+            assert top._labels is base._forest.labels and top._moved == {}  # the root's fresh labels
+            active = base_mask | mask_of(extras)
+            self.assert_matches_reference(top, active)
             for o in (base, mid, top):
                 o.delete_batch(batch)
-            assert top._labels is base._labels
-            self.assert_matches_reference(top, top.active & ~mask_of(batch))
+            assert top._moved is base._moved or not batch  # an empty push keeps the fresh map
+            self.assert_matches_reference(top, active & ~mask_of(batch))
 
     @pytest.mark.parametrize("root_holds", ["nothing", "another batch", "own extra"])
     def test_a_member_never_labels_from_scratch(self, monkeypatch, root_holds):
@@ -320,43 +322,56 @@ class TestSharedLabeling:
             base.delete_batch({5} if root_holds == "own extra" else {10_000})
         o.delete_batch(batch)
         assert len(labelings) == 1  # the root's build
-        if root_holds != "own extra":
-            # a private copy of the root's fresh labels, then a local split
-            replayed = base._undo.written() if base._undo else 0
-            assert o.costs.t_u - g.n - replayed <= 40
+        assert (o._moved is base._moved) is (root_holds == "own extra")
         assert o.query(0, 4) and not o.query(4, 6)
         assert o.query(6, g.n - 1) is (root_holds != "own extra")
+
+    @pytest.mark.parametrize("root_holds", ["nothing", "another batch"])
+    def test_a_member_splits_its_own_batch_locally(self, root_holds):
+        # path 0-...-19,999 with 100 inactive; the member over 100 is pushed
+        # {5}, which splits off only 0..4: it reads a few adjacency entries
+        # and records five relabeled vertices, and copies no n-entry list
+        g = path_graph(20_000)
+        base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100]))
+        o = base.augment([100])
+        if root_holds == "another batch":
+            base.delete_batch({10_000})
+        o.delete_batch({5})
+        assert o.costs.t_u <= 40, o.costs.t_u
+        assert sorted(o._moved) == [0, 1, 2, 3, 4]
+        assert o.query(0, 4) and not o.query(4, 6) and o.query(6, g.n - 1)
 
     def test_a_member_deleting_only_its_extras_takes_the_roots_fresh_labels(self):
         # path 0-...-199,999 with 100 and 200 inactive in the root, which
         # holds {10,000}; the member over both is pushed {100} alone, so
-        # nothing of the root's is deleted and no O(n) copy is needed: the
-        # member reads the root's fresh labels through the root's undo record
+        # nothing of the root's is deleted: the member reads the root's fresh
+        # labels, which the root's push left as they were, with nothing moved
         g = path_graph(200_000)
         base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100, 200]))
         o = base.augment([100, 200])
         base.delete_batch({10_000})
         o.delete_batch({100})
-        assert o._labels is base._view
+        assert o._labels is base._forest.labels and o._moved == {}
         assert o.costs.t_u == len(g.adj[200])
         assert o.query(0, 99) and o.query(101, 10_001) and not o.query(99, 101)
 
-    def test_the_root_hands_its_list_to_a_member_before_writing_it(self):
+    def test_a_roots_push_and_reset_leave_members_alone(self):
         # path 0-...-9 with 5 inactive in the root
         g = path_graph(10)
         base = make_oracle("rebuild", g, mask_of(range(10)) & ~mask_of([5]))
         o = base.augment([5])
         o.delete_batch({5})  # only its extra, while the root holds nothing
-        assert o._labels is base._labels
-        base.delete_batch({2})  # the push hands o a copy before the split
-        assert o._labels is not base._labels
+        assert o._moved is base._moved
+        base.delete_batch({2})  # splits {0, 1} off in the root alone
+        assert base._moved and o._moved == {}
         assert o.query(0, 4) and o.query(6, 9) and not o.query(4, 6)
         o.reset()
         o.delete_batch({2})
-        assert o._labels is base._labels
-        base.reset()  # the reset hands o a copy before the undo
-        assert o._labels is not base._labels
+        assert o._moved is base._moved
+        base.reset()  # drops the root's map, not o's
+        assert base._moved == {} and o._moved
         assert o.query(3, 9) and not o.query(1, 3) and base.query(1, 3)
+        assert base._forest.labels == dfs_forest(g, base.mask).labels
 
     def test_a_member_pushed_alone_still_checks_its_batch(self):
         # path 0-1-2-3-4 with 2 and 4 inactive in the root, which holds {0}

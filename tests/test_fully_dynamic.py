@@ -252,26 +252,23 @@ class TestLabelingsPerBatch:
 
 
 class TestPushCost:
-    """The root splits its one label list in place and its reset undoes the
-    split, so a cycle copies no O(n) list; a push's t_u counts every label it
-    writes or copies as well as the adjacency entries, low points and table
-    entries it reads."""
+    """The root records the vertices its split relabels in a small map and
+    its reset drops it, so a cycle copies and writes no O(n) list; a push's
+    t_u counts every entry it records as well as the batch and the adjacency
+    entries, low points and table entries it reads."""
 
-    def test_a_cycle_on_a_long_path_copies_no_labels(self, monkeypatch):
+    def test_a_cycle_on_a_long_path_copies_no_labels(self):
         n = 200_000
         g = path_graph(n)
         p = StatePartition.from_off(n, [100, n // 2, n - 100])
         s = build_fully_dynamic(g, p)
-        handed = []  # entries each root push or reset copied to its members
-        hand_off = RebuildOracle._hand_off
-        monkeypatch.setattr(RebuildOracle, "_hand_off", lambda o: handed.append(hand_off(o)) or handed[-1])
         a = fd_update(s, [1_000, n - 1_000], p.off_vertices)
         assert len(a.touched) == 1 + 3 + 3
-        assert all(o._labels is s.base._labels and o.costs.t_u < 100 for o in a.touched[1:])
+        assert all(o._moved is s.base._moved and o.costs.t_u < 100 for o in a.touched[1:])
         assert fd_query(s, a, 0, 999) and fd_query(s, a, 1_001, n - 1_001)  # through the activated vertices
         assert not fd_query(s, a, 999, 1_001)
         fd_rollback(s, a)
-        assert handed == [0, 0]
+        assert all(o._moved == {} for o in a.touched)
         assert s.base._labels is s.base._forest.labels
         assert s.base._labels == dfs_forest(g, p.on_mask).labels
 
@@ -334,9 +331,9 @@ class TestPushCost:
             return verdict, probes
 
         def counted(*args):
-            undo, work, probes = split(*args)
+            moved, work, probes = split(*args)
             reads.append(work)
-            return undo, work, probes
+            return moved, work, probes
 
         monkeypatch.setattr(graph_core, "_splits_nothing", certified)
         monkeypatch.setattr(oracle_mod, "split_labels", counted)
@@ -347,8 +344,9 @@ class TestPushCost:
             reads.clear()
             ratios = []
             for down in self.pushes(g, p, s, rng, 4, 50):
-                if decided[-1]:  # it wrote only the deleted vertices' labels
-                    assert reads[-1] == 0 and s.base._undo.written() == len(down)
+                if decided[-1]:  # it read no adjacency and relabeled nothing
+                    assert reads[-1] == 0 and s.base._moved == {}
+                    assert all(o._moved is s.base._moved for o in s.session.touched)
                     ratios.append(s.base.costs.t_u / (4 + sum(len(g.adj[x]) for x in down)))
             assert len(decided) == len(reads) == 50  # one root push per batch, no member split
             assert len(ratios) >= 45, (g.n, len(ratios))

@@ -307,44 +307,43 @@ class TestDfsForest:
                 assert f.low_min(a, b)[0] == min(f.low[a:b]), (a, b)
 
 
-def race(g, forest, labels, deleted):
+def race(g, forest, deleted):
     """split_labels with its certificate forced to report that a piece may
     be cut off, so the searches decide every batch."""
     cert = graph_core._splits_nothing
-    graph_core._splits_nothing = lambda forest, labels, gone: (False, 0)
+    graph_core._splits_nothing = lambda *args: (False, 0)
     try:
-        return split_labels(g, forest, labels, deleted)
+        return split_labels(g, forest, deleted)
     finally:
         graph_core._splits_nothing = cert
 
 
 class TestSplitLabels:
-    """split_labels must write, in place, the partition a fresh
-    component_labels of the survivors gives, reading at most 2m adjacency
-    entries, and return a record that reads back and restores the forest's
-    labels, one entry per label written."""
+    """split_labels must return, as the survivors it relabels, the partition
+    a fresh component_labels of the survivors gives, with new ids from the
+    forest's count on, reading at most 2m adjacency entries and writing
+    nothing: the forest's labels stay as dfs_forest left them."""
 
     @staticmethod
     def split(g, active_bits, deleted):
         forest = dfs_forest(g, active_bits)
-        labels = forest.labels
-        before = labels.copy()
-        undo, work, probes = split_labels(g, forest, labels, deleted)
-        got, count = labels.copy(), forest.count + len(undo.origin)
+        before = forest.labels.copy()
+        moved, work, probes = split_labels(g, forest, deleted)
+        assert forest.labels == before
+        gone = set(deleted)
+        got = [-1 if v in gone else moved.get(v, c) for v, c in enumerate(before)]
+        count = forest.count + len(set(moved.values()))
+        assert set(moved.values()) == set(range(forest.count, count))
+        assert gone.isdisjoint(moved)
         fresh, _ = component_labels(g, active_bits & ~mask_of(deleted))
         assert canonical(got) == canonical(fresh)
-        assert max(got, default=-1) < count
         assert work <= 2 * g.m
-        assert undo.written() == sum(a != b for a, b in zip(before, got))
-        assert [undo.old(labels, v) for v in range(g.n)] == before
-        undo.undo(labels)
-        assert labels == before
-        # the searches alone write the same labels and the same record; a
+        # the searches alone relabel the same vertices to the same ids; a
         # batch the certificate decides reads no adjacency
-        raced, raced_work, _ = race(g, forest, labels, deleted)
-        assert (labels, raced) == (got, undo)
+        raced, raced_work, _ = race(g, forest, deleted)
+        assert forest.labels == before
+        assert raced == moved
         assert work in (0, raced_work)
-        raced.undo(labels)
         return got, count, work, probes
 
     def test_exhaustive_small_graphs_and_deletion_sets(self):
@@ -448,13 +447,10 @@ class TestSplitLabels:
             ratios = []
             for _ in range(200):
                 deleted = rng.sample(range(n), k)
-                undo, work, _ = split_labels(g, forest, forest.labels, deleted)
-                got = forest.labels.copy()
-                undo.undo(forest.labels)
-                raced, raced_work, _ = race(g, forest, forest.labels, deleted)
-                assert (forest.labels, raced) == (got, undo)
+                moved, work, _ = split_labels(g, forest, deleted)
+                raced, raced_work, _ = race(g, forest, deleted)
+                assert raced == moved
                 assert work in (0, raced_work)
-                raced.undo(forest.labels)
                 ratios.append(raced_work / max(1, sum(len(g.adj[x]) for x in deleted)))
             assert forest.labels == fresh
             assert statistics.median(ratios) <= 4 and max(ratios) <= 12, (k, statistics.median(ratios), max(ratios))

@@ -23,6 +23,7 @@ from sensconn.bits import iter_bits
 from sensconn.connectivity_oracle import oracle_class, oracle_names, register_oracle
 from sensconn.errors import QueryEndpointError
 from sensconn.fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
+from sensconn.graph_core import dfs_forest
 
 from reference import brute_connected
 from strategies import graphs_with_partition
@@ -60,6 +61,7 @@ def machine_for(factory_cls):
             self.g, self.p = gp
             factory_cls.countdown = None
             self.s = build_fully_dynamic(self.g, self.p, factory_cls.name)
+            self.fresh_labels = dfs_forest(self.g, self.p.on_mask).labels
             self.session = None
             self.active = set()
 
@@ -113,6 +115,11 @@ def machine_for(factory_cls):
         def rollback(self):
             fd_rollback(self.s, self.session)
             self.session = None
+
+        @invariant()
+        def fresh_labels_are_never_written(self):
+            # pushes, resets and failed updates leave the root's forest as built
+            assert self.s.base._forest.labels == self.fresh_labels
 
         @invariant()
         def idle_means_fresh(self):
