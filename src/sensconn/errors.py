@@ -28,4 +28,7 @@ class QueryEndpointError(ContractViolation):
 
 
 class CapacityError(ContractViolation):
-    """Update batch above the largest level of a doubling family."""
+    """Input above a size cap, raised before anything is allocated for it:
+    an activation index whose estimated bytes exceed
+    ``incremental_sensitivity.INDEX_BYTES_MAX``, or an update batch above
+    the largest level of a doubling family."""

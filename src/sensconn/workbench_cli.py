@@ -7,8 +7,9 @@ engine (``fd``) or a from-scratch labeling of the post-update active vertices
 bench`` tabulates, for each oracle factory, how the update and query
 counters scale with batch size.
 
-Exit codes: 0 ok, 1 internal error, 2 illegal update for the chosen
-algorithm, 3 at least one illegal query endpoint (marked "E" in the output).
+Exit codes: 0 ok, 1 internal error or an input above a size cap, 2 illegal
+update for the chosen algorithm, 3 at least one illegal query endpoint
+(marked "E" in the output).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .connectivity_oracle import make_oracle, oracle_names
 from .errors import ContractViolation, ParseError, QueryEndpointError, SensConnError
 from .fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from .graph_core import UpdateBatch, load_graph, parse_int, parse_query_text, parse_update_text
-from .incremental_sensitivity import build_incremental, incremental_query, incremental_update
+from .incremental_sensitivity import INDEX_BYTES_MAX, build_incremental, incremental_query, incremental_update
 from . import verify as verify_lib
 
 ALGORITHMS = ("inc", "fd", "bf")
@@ -309,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--graph", required=True, help="graph file")
     run.add_argument("--update", required=True, help="update file (+v / -v lines)")
     run.add_argument("--query", required=True, help="query file (u v lines)")
-    run.add_argument("--algo", choices=ALGORITHMS, default="fd")
+    run.add_argument("--algo", choices=ALGORITHMS, default="fd",
+                     help="inc refuses an activation index estimated above "
+                          f"{INDEX_BYTES_MAX >> 20} MiB (INDEX_BYTES_MAX) with exit code 1")
     run.add_argument("--oracle", choices=oracle_names(), default="rebuild")
     run.add_argument("--report", help="write a key=value report to this file")
     run.set_defaults(func=cmd_run)

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import sensconn.incremental_sensitivity as incs
 import sensconn.verify as verify_mod
 import sensconn.workbench_cli as cli_mod
 from sensconn.connectivity_oracle import oracle_names
 from sensconn.fully_dynamic_sensitivity import fd_rollback, fd_update
 from sensconn.generators import gnp_graph
 from sensconn.graph_core import StatePartition, dump_graph
+from sensconn.incremental_sensitivity import INDEX_BYTES_MAX
 from sensconn.workbench_cli import EXHAUSTIVE_N_MAX, RANDOM_N_MAX, main
 
 from conftest import FIXTURES, KEEPS_DELETION, index_without_off_edges
@@ -48,6 +50,27 @@ class TestRun:
         )
         assert code == 0
         assert out.splitlines() == ["1", "1", "1"]
+
+    def test_an_index_above_the_cap_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        def labeled(g, mask):
+            raise AssertionError("the base was labeled")
+
+        monkeypatch.setattr(incs, "component_labels", labeled)
+        n, n_off = 80_000, 70_000  # edgeless: the off_reach masks alone exceed the cap
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"{n} 0\nOFF {n_off}\n" + "\n".join(map(str, range(n_off))) + "\n")
+        (tmp_path / "u.txt").write_text("+0\n")
+        (tmp_path / "q.txt").write_text("0 0\n")
+        code, out, err = run_cli(capsys, "run", "--graph", str(graph), "--update", str(tmp_path / "u.txt"),
+                                 "--query", str(tmp_path / "q.txt"), "--algo", "inc")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the activation index of n=80000, n_off=70000 ")
+        assert err.rstrip().endswith(f"above the cap of {INDEX_BYTES_MAX >> 20} MiB (INDEX_BYTES_MAX)")
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert f"above {INDEX_BYTES_MAX >> 20} MiB (INDEX_BYTES_MAX)" in " ".join(capsys.readouterr().out.split())
 
     def test_empty_update(self, capsys):
         code, out, _ = run_cli(
