@@ -49,9 +49,12 @@ class DecrementalOracle(abc.ABC):
     Queries are legal in either phase. Query endpoints and deleted vertices
     must lie in ``active``.
 
-    ``query`` is the checked entry point, which the fully dynamic engine
-    relies on as the only check of its query endpoints; a factory implements
-    the unchecked ``_connected``.
+    ``query`` is the checked entry point; a factory implements the unchecked
+    ``_connected``. The fully dynamic engine sends each query's first oracle
+    call through ``query``, its only check of the endpoints, and the rest to
+    ``_connected`` on endpoints that first call proved legal. So
+    ``_connected`` must answer for any endpoints legal in its own oracle,
+    whether or not ``query`` ran on that oracle.
 
     Oracles come in families. ``make_oracle`` builds a family's ``root`` over
     an active vertex mask (``None`` means every vertex); ``augment`` builds a

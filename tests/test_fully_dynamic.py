@@ -567,6 +567,93 @@ class TestQuery:
             fd_rollback(s, a)
 
 
+def ladder_graph(rungs, width):
+    """Grid of ``width`` columns; vertex r*width+c is column c of rung r."""
+    n = rungs * width
+    edges = [(v, v + 1) for v in range(n) if v % width + 1 < width]
+    edges += [(v, v + width) for v in range(n - width)]
+    return Graph.from_edges(n, edges)
+
+
+class TestOneCheckedCallPerQuery:
+    """A fully dynamic query makes one checked ``query`` call, its first
+    oracle query, and sends the rest to ``_connected``; an update makes its
+    C(k,2) pair queries through the checked ``query``."""
+
+    @pytest.fixture
+    def counting(self, oracle_registry):
+        """Registers ``rebuild`` under a test name, counting ``query`` and
+        ``_connected`` calls apart. Every oracle query ends in
+        ``_connected``, so its count is the total."""
+        calls = {"query": 0, "_connected": 0}
+
+        @register_oracle
+        class Counting(RebuildOracle):
+            name = "counting-test"
+
+            def query(self, u, v):
+                calls["query"] += 1
+                return super().query(u, v)
+
+            def _connected(self, u, v):
+                calls["_connected"] += 1
+                return super()._connected(u, v)
+
+        return Counting.name, calls
+
+    @staticmethod
+    def run_batch(g, p, factory, calls, down, up):
+        """One update and every live pair's query; returns the most oracle
+        queries one query made."""
+        k = len(up)
+        s = build_fully_dynamic(g, p, factory)
+        calls.update(query=0, _connected=0)
+        a = fd_update(s, down, up)
+        assert calls == {"query": pairs_of(k), "_connected": pairs_of(k)}
+        assert a.build_probes == pairs_of(k)
+        alive = sorted(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(up)))
+        most = 0
+        for u in alive:
+            for v in alive:
+                calls.update(query=0, _connected=0)
+                before = a.query_probes
+                assert fd_query(s, a, u, v) == brute_connected(g, set(alive), u, v)
+                made = a.query_probes - before
+                assert calls == {"query": 0 if u in up and v in up else 1, "_connected": made}
+                assert made <= 1 + 2 * k
+                most = max(most, made)
+        fd_rollback(s, a)
+        return most
+
+    def test_random_instances(self, counting):
+        factory, calls = counting
+        rng = random.Random(4)
+        for _ in range(25):
+            n = rng.randint(2, 14)
+            g = gnp_graph(n, 0.3, rng)
+            off = rng.sample(range(n), rng.randint(0, n // 2))
+            p = StatePartition.from_off(n, off)
+            up = rng.sample(off, rng.randint(0, len(off))) if off else []
+            down = rng.sample(sorted(iter_bits(p.on_mask)), rng.randint(0, min(3, p.n_on)))
+            self.run_batch(g, p, factory, calls, down, up)
+
+    def test_ladder_with_inactive_rungs(self, counting):
+        # width 4, rungs 2 and 5 inactive: activated vertices of one rung
+        # join through the segment beside it, so a query between segments
+        # tries several members of a bridge component
+        factory, calls = counting
+        g = ladder_graph(8, 4)
+        off = [*range(8, 12), *range(20, 24)]
+        p = StatePartition.from_off(g.n, off)
+        rng = random.Random(7)
+        most = 0
+        for _ in range(12):
+            up = rng.sample(off, rng.randint(1, 5))
+            down = rng.sample(sorted(iter_bits(p.on_mask)), rng.randint(0, 2))
+            most = max(most, self.run_batch(g, p, factory, calls, down, up))
+        assert most > 3
+
+
 class TestRecord:
     def test_fd_record_holds_the_batch(self, three_hubs):
         g, p = three_hubs

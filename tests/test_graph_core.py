@@ -592,6 +592,29 @@ class TestUpdateBatch:
         with pytest.raises(ContractViolation, match="not an inactive"):
             UpdateBatch.for_partition(p, [], [v])
 
+    @pytest.mark.parametrize(
+        "down, up, message",
+        [
+            ([-1], [], "cannot deactivate -1: not an active vertex"),
+            ([6], [], "cannot deactivate 6: not an active vertex"),
+            ([5], [], "cannot deactivate 5: not an active vertex"),
+            ([], [-1], "cannot activate -1: not an inactive vertex"),
+            ([], [6], "cannot activate 6: not an inactive vertex"),
+            ([], [1], "cannot activate 1: not an inactive vertex"),
+            ([5, 1], [1, 5], "vertices [1, 5] appear on both sides of the batch"),
+            ([1], [1], "vertices [1] appear on both sides of the batch"),
+            # the overlap is reported first, then the deactivations, then the activations
+            ([5, 2], [2, 1], "vertices [2] appear on both sides of the batch"),
+            ([5], [1], "cannot deactivate 5: not an active vertex"),
+            ([2], [1], "cannot activate 1: not an inactive vertex"),
+        ],
+    )
+    def test_messages_and_their_order(self, mixed, down, up, message):
+        _, p = mixed
+        with pytest.raises(ContractViolation) as err:
+            UpdateBatch.for_partition(p, down, up)
+        assert str(err.value) == message
+
 
 class TestImmutability:
     def test_graph_is_frozen(self, p5):
