@@ -4,8 +4,10 @@ An oracle answers connectivity over a fixed graph restricted to a set of
 active vertices, after at most one batch of vertex deletions per cycle.
 Implementations register under a string name and are selected by the fully
 dynamic engine and the CLI. One ships built in, ``rebuild``; ``register_oracle``
-plugs in others. Oracles come in families: a root over an active vertex set,
-and members over its vertices plus one or two extra ones.
+plugs in others. A factory implements one oracle over an active vertex set,
+a family's root. ``Member`` derives the family's other oracles, over the
+root's vertices plus one or two extra ones, from the root's component ids
+after the batch the root holds; a member lives for that one batch.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .graph_core import active_flags, dfs_forest, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
-MAX_EXTRAS = 2  # the most extras a member of a family holds
 
 
 @dataclass
@@ -47,69 +48,36 @@ class DecrementalOracle(abc.ABC):
     fresh; ``delete_batch`` may be called exactly once per cycle, after which
     queries see the survivors; ``reset`` rolls back to the fresh state.
     Queries are legal in either phase. Query endpoints and deleted vertices
-    must lie in ``active``.
+    must lie in ``active``, which the oracle holds as its ``mask`` and as the
+    flag string ``on``.
 
-    ``query`` is the checked entry point; a factory implements the unchecked
-    ``_connected``. The fully dynamic engine sends each query's first oracle
-    call through ``query``, its only check of the endpoints, and the rest to
-    ``_connected`` on endpoints that first call proved legal. So
-    ``_connected`` must answer for any endpoints legal in its own oracle,
-    whether or not ``query`` ran on that oracle.
+    A factory implements ``_preprocess``, ``_apply_delete``, ``_apply_reset``
+    and two unchecked reads: ``_connected(u, v)``, and ``_component(v)``, a
+    non-negative int id of survivor ``v``'s component after the batch, equal
+    for two survivors exactly when they are connected. ``query`` and
+    ``component`` are their checked entry points. The fully dynamic engine
+    sends each query's first oracle call through one of them, its only check
+    of the endpoints, and reads ``_component`` of the endpoints it proved
+    legal after that. ``reach`` builds from ``_component`` what a ``Member``
+    over this oracle's vertices plus one or two extras needs, so a factory
+    implements only the root of a family; its members live for one batch.
 
-    Oracles come in families. ``make_oracle`` builds a family's ``root`` over
-    an active vertex mask (``None`` means every vertex); ``augment`` builds a
-    member over the same vertices plus one or two ``extras``. The root alone
-    holds the active set, as its mask and as the flag string ``on``; a member
-    keeps only its extras and reads the root's ``on``. A member may reuse the
-    work its root has done for the batch the root currently holds, and must
-    stay correct whatever that batch is, including after the root is reset.
-    A member pushed the very set its root holds skips the batch check, which
-    the root's push made.
-
-    ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``; a
-    member's push may read its ``root``, and no push or reset writes another
-    oracle. ``query`` only reads. Concurrent queries on one oracle are
-    therefore safe, but no call on any oracle of a family may overlap a push
-    or reset in that family. Members and their root may be reset in any
-    order.
+    ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``;
+    ``query``, ``component`` and ``reach`` only read. Concurrent reads of one
+    oracle are therefore safe, but none may overlap a push or reset of it.
     """
 
     name = "abstract"
-    root: "DecrementalOracle | None" = None  # augment sets it before __init__ runs
-    extras: tuple[int, ...] = ()
+    extras: tuple[int, ...] = ()  # a member's vertices beyond its root's
+    deleted: frozenset[int] = frozenset()
+    phase = FRESH
 
     def __init__(self, graph, active: int | None = None):
-        if self.root is None:  # built by make_oracle: the root of a new family
-            self.root = self
-            self.mask = all_bits(graph.n) if active is None else active
-            self.on = active_flags(graph.n, self.mask)
-        else:
-            self.on = self.root.on
         self.graph = graph
+        self.mask = all_bits(graph.n) if active is None else active
+        self.on = active_flags(graph.n, self.mask)
         self.costs = OracleCosts()
-        self.deleted: frozenset[int] = frozenset()
-        self.phase = FRESH
         self._preprocess()
-
-    def augment(self, extras) -> "DecrementalOracle":
-        """An oracle of the same factory in this oracle's family, over its
-        active vertices plus ``extras``, each an inactive vertex in [0, n);
-        the new oracle holds at most ``MAX_EXTRAS`` (two) extras in all.
-
-        The fully dynamic engine builds a member the first time an update
-        pushes it, inside that update, so building one may cost no more
-        than one push (``delete_batch``) into it."""
-        grown = self.extras
-        for x in extras:
-            if not 0 <= x < self.graph.n or self._has(x) or x in grown:
-                raise ContractViolation(f"cannot augment with {x}: not an inactive vertex")
-            if len(grown) == MAX_EXTRAS:
-                raise ContractViolation(f"cannot augment with {x}: a member has at most {MAX_EXTRAS} extras")
-            grown += (x,)
-        o = object.__new__(type(self))
-        o.root, o.extras = self.root, grown
-        o.__init__(self.graph)
-        return o
 
     def _has(self, v: int) -> bool:
         """Whether v is active in this oracle; a range test first, since a
@@ -120,30 +88,45 @@ class DecrementalOracle(abc.ABC):
         if self.phase != FRESH:
             raise PhaseError(f"{self.name} oracle already holds a deletion batch; reset() first")
         vs = frozenset(vertices)
-        # a batch the root holds, as this very set, was checked by the root's
-        # push, and every vertex active in the root is active in its members
-        if vs is not self.root.deleted:
-            for v in vs:
-                if not self._has(v):
-                    raise ContractViolation(f"cannot delete {v}: not active in this oracle")
+        self._check_batch(vs)
         self._apply_delete(vs)
         self.deleted = vs
         self.phase = UPDATED
 
+    def _check_batch(self, vertices: frozenset[int]) -> None:
+        for v in vertices:
+            if not self._has(v):
+                raise ContractViolation(f"cannot delete {v}: not active in this oracle")
+
+    def _check_endpoint(self, v: int) -> None:
+        if not self._has(v):
+            raise QueryEndpointError(f"vertex {v} is not active")
+        if v in self.deleted:
+            raise QueryEndpointError(f"vertex {v} is deleted: deactivated by the current batch")
+
     def query(self, u: int, v: int) -> bool:
         n, on, extras, deleted = self.graph.n, self.on, self.extras, self.deleted
-        # _has() inlined for both endpoints at once: a bridged fully dynamic
-        # query makes up to 1 + 2d oracle queries, and a _has() call per
+        # _has() inlined for both endpoints at once: a _has() call per
         # endpoint made each oracle query about 25% slower (0.70 -> 0.89 us
-        # on an augmented rebuild oracle at n = 20,000, 2-vCPU x86 host).
+        # at n = 20,000, 2-vCPU x86 host).
         if not (0 <= u < n and 0 <= v < n and (on[u] == "1" or u in extras)
                 and (on[v] == "1" or v in extras)) or u in deleted or v in deleted:
-            for x in (u, v):  # name the first bad endpoint
-                if not self._has(x):
-                    raise QueryEndpointError(f"vertex {x} is not active")
-                if x in deleted:
-                    raise QueryEndpointError(f"vertex {x} is deleted: deactivated by the current batch")
+            self._check_endpoint(u)  # name the first bad endpoint
+            self._check_endpoint(v)
         return self._connected(u, v)
+
+    def component(self, v: int) -> int:
+        """``_component(v)``, after the endpoint checks ``query`` makes."""
+        if not (0 <= v < self.graph.n and self.on[v] == "1") or v in self.deleted:
+            self._check_endpoint(v)
+        return self._component(v)
+
+    def reach(self, x: int) -> set[int]:
+        """The component ids of ``x``'s neighbours that survive the batch:
+        those an inactive vertex ``x`` joins once activated. Reads ``x``'s
+        adjacency once."""
+        on, deleted, component = self.on, self.deleted, self._component
+        return {component(w) for w in self.graph.adj[x] if on[w] == "1" and w not in deleted}
 
     def reset(self) -> None:
         self.deleted = frozenset()
@@ -163,6 +146,59 @@ class DecrementalOracle(abc.ABC):
     @abc.abstractmethod
     def _connected(self, u: int, v: int) -> bool: ...
 
+    @abc.abstractmethod
+    def _component(self, v: int) -> int: ...
+
+
+class Member(DecrementalOracle):
+    """The oracle over ``root``'s active vertices plus one or two
+    ``extras``, inactive in the root, for the batch the root holds now.
+    ``reach`` maps each extra to ``root.reach`` of it after that batch.
+
+    Nothing is built: an extra joins the root components its reach set
+    holds, and two extras join each other when they are adjacent or reach a
+    common component, which ``_preprocess`` records. A member's push takes
+    only the very set its root holds, in O(1). It answers right only while
+    its root holds that batch, so it lives for one batch. An id the member
+    gives to a component one of its extras joins is negative, ``~`` that
+    extra; every other survivor keeps its root id.
+    """
+
+    name = "member"
+    joined = True  # one extra, or two that are adjacent or reach a common component
+
+    def __init__(self, root: DecrementalOracle, extras: tuple[int, ...], reach: dict[int, set[int]]):
+        self.root, self.extras, self.reach = root, extras, reach
+        self.graph, self.on = root.graph, root.on
+        self.costs = OracleCosts()
+        self._preprocess()
+
+    def _preprocess(self):
+        if len(self.extras) == 2:
+            a, b = self.extras
+            self.joined = b in self.graph.adj[a] or not self.reach[a].isdisjoint(self.reach[b])
+
+    def _check_batch(self, vertices):
+        if vertices is not self.root.deleted:
+            raise ContractViolation("a member takes only the batch its root holds")
+
+    def _apply_delete(self, vertices):
+        if len(self.extras) == 1:  # its extra's reach set was read for it; pairs reuse that set
+            self.costs.t_u += len(self.graph.adj[self.extras[0]])
+
+    def _apply_reset(self):
+        pass
+
+    def _component(self, v):
+        c = ~v if v in self.extras else self.root._component(v)
+        for x in self.extras:
+            if c == ~x or c in self.reach[x]:
+                return ~self.extras[0] if self.joined else ~x
+        return c
+
+    def _connected(self, u, v):
+        return self._component(u) == self._component(v)
+
 
 _REGISTRY: dict[str, type[DecrementalOracle]] = {}
 
@@ -174,7 +210,7 @@ def register_oracle(cls):
 
 def make_oracle(name: str, graph, active: int | None = None) -> DecrementalOracle:
     """Build the registered oracle ``name`` over ``graph[active]``, the root
-    of a new family; ``augment`` builds its members."""
+    of a new family; ``Member`` derives its members."""
     return oracle_class(name)(graph, active)
 
 
@@ -191,100 +227,49 @@ def oracle_names() -> list[str]:
 @register_oracle
 class RebuildOracle(DecrementalOracle):
     """Baseline oracle: a component labeling of the survivors; a query is
-    two label reads and at most two map lookups per endpoint. The root
-    labels its active set at build with a depth-first forest
-    (``dfs_forest``), the family's only labeling from scratch, and alone
-    keeps that forest and its low points' range-minimum table. Nothing
-    writes the forest's labels, the fresh labeling every oracle of the
-    family reads. A push finds along the forest the vertices its batch
-    relabels (``split_labels``) and keeps them as a small map, ``moved``;
-    ``reset`` drops it, so no push or reset costs O(n). On random graphs
-    range minima over the low points show for nearly every batch that
-    nothing splits, and the push reads no adjacency and records nothing;
-    otherwise the forest's pieces race, reading less than the deleted
-    vertices' degree.
+    two label reads and, when the batch relabeled anything, one map lookup
+    per endpoint. It labels its active set at build with a depth-first
+    forest (``dfs_forest``), its only labeling from scratch, and keeps that
+    forest and its low points' range-minimum table. Nothing writes the
+    forest's labels, the fresh labeling. A push finds along the forest the
+    vertices its batch relabels (``split_labels``) and keeps them as a small
+    map, ``moved``; ``reset`` drops it, so no push or reset costs O(n). On
+    random graphs range minima over the low points show for nearly every
+    batch that nothing splits, and the push reads no adjacency and records
+    nothing; otherwise the forest's pieces race, reading less than the
+    deleted vertices' degree.
 
-    A member shares its root's ``moved`` when the root holds exactly the
-    member's deletions less its extras; that is the engine's path, an
-    activation-only batch included. Any other member splits its own
-    deletions along the root's forest, the same local work as a root's push.
-    Either way it then records in O(deg) of its extras which components
-    they join, in its ``merge`` map.
-
-    A vertex's label is ``moved``'s entry for it, else its fresh label. Its
-    key is that label, or ``~v`` where the label is -1; ``merge`` maps keys
-    to component ids (an absent key is its own id) and holds every survivor
-    left at -1. A deleted vertex keeps its labels, so a reader tests it
-    against the batch.
+    A survivor's component id is its ``moved`` entry, else its fresh label.
+    A deleted vertex keeps its labels, so a reader tests it against the
+    batch.
     """
 
     name = "rebuild"
 
     def _preprocess(self):
-        g, root = self.graph, self.root
-        if root is self:
-            self._forest = dfs_forest(g, self.mask)
-            # the range-minimum table reads each low point once and writes each entry once
-            lows = len(self._forest.low) + sum(map(len, self._forest.mins))
-            self.costs.t_p += g.n + 2 * g.m + lows
-            self.costs.space_s = 4 * g.n + lows + self._forest.count + word_count(g.n)
-        self._labels, self._moved = root._forest.labels, {}
-        self._fresh_merge, work = self._extend(frozenset())
-        self._merge = self._fresh_merge
-        if root is not self:
-            self.costs.t_p += work
-            self.costs.space_s = 1 + len(self.extras) + len(self._fresh_merge)
+        g = self.graph
+        self._forest = dfs_forest(g, self.mask)
+        # the range-minimum table reads each low point once and writes each entry once
+        lows = len(self._forest.low) + sum(map(len, self._forest.mins))
+        self.costs.t_p += g.n + 2 * g.m + lows
+        self.costs.space_s = 4 * g.n + lows + self._forest.count + word_count(g.n)
+        self._labels, self._moved = self._forest.labels, {}
 
     def _apply_delete(self, vertices):
         if not vertices:  # the fresh labeling answers already
             self.costs.t_u += 1
             return
-        root, extras = self.root, self.extras
-        held = vertices if vertices.isdisjoint(extras) else vertices.difference(extras)
-        if root is not self and root.deleted == held:  # a member pushed after its root, as the engine does
-            self._moved, work = root._moved, 0
-        else:  # the root, or a member whose root holds another batch or nothing
-            self._moved, reads, probes = split_labels(self.graph, root._forest, held)
-            work = len(held) + reads + probes + len(self._moved)
-        self._merge, more = self._extend(vertices)
-        self.costs.t_u += work + more
-
-    def _extend(self, gone):
-        """The merge map of this oracle's extras outside ``gone`` and the
-        adjacency entries read. Every label an extra's surviving neighbours
-        carry maps to that extra's key; the second extra joins the first
-        one's key when the two are adjacent or touch a common label."""
-        adj, labels, moved = self.graph.adj, self._labels, self._moved
-        merge: dict[int, int] = {}
-        work = 0
-        first = None  # the first surviving extra and the labels it touches
-        for x in self.extras:
-            if x in gone:
-                continue
-            nbrs = adj[x]
-            work += len(nbrs)
-            if moved or not gone.isdisjoint(nbrs):
-                touched = {c for w in nbrs if w not in gone and (c := moved.get(w, labels[w])) >= 0}
-            else:
-                touched = {c for w in nbrs if (c := labels[w]) >= 0}
-            key = ~x
-            if first is None:
-                first = x, touched
-            elif first[0] in nbrs or not touched.isdisjoint(first[1]):
-                key = ~first[0]
-            merge[~x] = key
-            merge.update(dict.fromkeys(touched, key))
-        return merge, work
+        self._moved, reads, probes = split_labels(self.graph, self._forest, vertices)
+        self.costs.t_u += len(vertices) + reads + probes + len(self._moved)
 
     def _apply_reset(self):
-        self._moved, self._merge = {}, self._fresh_merge
+        self._moved = {}
+
+    def _component(self, v):
+        return self._moved.get(v, self._labels[v])
 
     def _connected(self, u, v):
-        labels, moved, merge = self._labels, self._moved, self._merge
-        lu, lv = labels[u], labels[v]
+        labels, moved = self._labels, self._moved
         if moved:
-            lu, lv = moved.get(u, lu), moved.get(v, lv)
-        if merge:
-            lu = merge.get(lu if lu >= 0 else ~u, lu)
-            lv = merge.get(lv if lv >= 0 else ~v, lv)
-        return lu == lv
+            return moved.get(u, labels[u]) == moved.get(v, labels[v])
+        return labels[u] == labels[v]

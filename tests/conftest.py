@@ -47,8 +47,7 @@ def keeps_deletion(oracle_registry):
         name = KEEPS_DELETION
 
         def _preprocess(self):
-            # the root's flag string plus this oracle's extras
-            self._alive = mask_of([v for v, c in enumerate(self.on) if c == "1"] + list(self.extras))
+            self._alive = self.mask
 
         def _apply_delete(self, vertices):
             self._alive ^= mask_of(vertices)
@@ -58,6 +57,10 @@ def keeps_deletion(oracle_registry):
 
         def _connected(self, u, v):
             return bool(self._alive >> u & 1) and v in reachable(self.graph, self._alive, u)
+
+        def _component(self, v):
+            # the smallest vertex v reaches; one of its own past n where the fault left v dead
+            return min(reachable(self.graph, self._alive, v)) if self._alive >> v & 1 else self.graph.n + v
 
     return KEEPS_DELETION
 

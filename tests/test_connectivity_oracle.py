@@ -10,13 +10,15 @@ import sensconn.connectivity_oracle as oracle_mod
 from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     DecrementalOracle,
+    Member,
     make_oracle,
     oracle_names,
     register_oracle,
 )
 from sensconn.errors import ContractViolation, PhaseError, QueryEndpointError
+from sensconn.fully_dynamic_sensitivity import build_fully_dynamic, fd_update
 from sensconn.generators import cycle_graph, gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest, reachable
+from sensconn.graph_core import Graph, StatePartition, component_labels, reachable
 from sensconn.verify import connected_by_set, connected_via_component
 
 from reference import brute_connected, brute_reach
@@ -223,10 +225,19 @@ class TestConformance:
             make_oracle("rebuild", path_graph(3), mask_of([0, 3]))
 
 
+def member_of(root, extras):
+    """The member over ``root`` plus ``extras`` for the batch ``root``
+    holds, pushed that batch, as the fully dynamic engine derives it."""
+    o = Member(root, tuple(extras), {x: root.reach(x) for x in extras})
+    o.delete_batch(root.deleted)
+    return o
+
+
 class TestSharedLabeling:
-    """A rebuild oracle augmented from a root reuses the root's labeling when
-    the root holds the same batch, and must answer right whatever the root
-    holds."""
+    """A member reads its root's component ids after the batch the root
+    holds, and the reach sets of its one or two extras; it labels nothing
+    itself, takes no batch but its root's, and must answer as ``reachable``
+    does over the root's active vertices plus its extras, less the batch."""
 
     @staticmethod
     def instances(seed, trials=40):
@@ -243,187 +254,170 @@ class TestSharedLabeling:
 
     @staticmethod
     def assert_matches_reference(o, active_mask):
+        """``_connected`` and the checked ``query`` on every legal endpoint
+        pair."""
         alive = list(iter_bits(active_mask))
         for u in alive:
             reach = reachable(o.graph, active_mask, u)
             for v in alive:
-                assert o.query(u, v) == (v in reach), (u, v)
-
-    def augmented(self, g, base_mask, extras):
-        base = make_oracle("rebuild", g, base_mask)
-        return base, base.augment(extras)
+                assert o._connected(u, v) == o.query(u, v) == (v in reach), (u, v)
 
     def test_fresh_answers(self):
         for _, g, base_mask, extras, _ in self.instances(1):
-            _, o = self.augmented(g, base_mask, extras)
+            o = member_of(make_oracle("rebuild", g, base_mask), extras)
             self.assert_matches_reference(o, base_mask | mask_of(extras))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_connected_matches_reachable(self, k):
+        # every legal endpoint pair of on + extras - D, the root holding D
+        rng = random.Random(10 + k)
+        for _ in range(60):
+            n = rng.randint(k + 1, 12)
+            g = gnp_graph(n, rng.choice((0.15, 0.3, 0.5)), rng)
+            extras = rng.sample(range(n), k)
+            inside = [v for v in range(n) if v not in extras and rng.random() < 0.8]
+            batch = set(rng.sample(inside, rng.randint(0, min(3, len(inside)))))
+            root = make_oracle("rebuild", g, mask_of(inside))
+            root.delete_batch(batch)
+            self.assert_matches_reference(member_of(root, extras), mask_of(set(inside) - batch) | mask_of(extras))
 
     @pytest.mark.parametrize("base_holds", ["same batch", "nothing", "another batch"])
     def test_delete_whatever_the_base_holds(self, base_holds):
+        # a member takes the very set its root holds, and nothing else
         for rng, g, base_mask, extras, batch in self.instances(2):
-            base, o = self.augmented(g, base_mask, extras)
+            base = make_oracle("rebuild", g, base_mask)
             if base_holds == "same batch":
                 base.delete_batch(batch)
-            elif base_holds == "another batch" and base_mask:
+                self.assert_matches_reference(member_of(base, extras), (base_mask | mask_of(extras)) & ~mask_of(batch))
+                continue
+            if base_holds == "another batch" and base_mask:
                 base.delete_batch(batch ^ {rng.choice(sorted(iter_bits(base_mask)))})
-            o.delete_batch(batch)
-            active = base_mask | mask_of(extras)
-            self.assert_matches_reference(o, active & ~mask_of(batch))
-            o.reset()
-            self.assert_matches_reference(o, active)
-
-    def test_base_reset_while_the_oracle_holds_its_batch(self):
-        for rng, g, base_mask, extras, batch in self.instances(3):
-            base, o = self.augmented(g, base_mask, extras)
-            base.delete_batch(batch)
-            o.delete_batch(batch)
-            base.reset()
-            if base_mask:
-                base.delete_batch({rng.choice(sorted(iter_bits(base_mask)))})
-            self.assert_matches_reference(o, (base_mask | mask_of(extras)) & ~mask_of(batch))
+            o = Member(base, tuple(extras), {x: base.reach(x) for x in extras})
+            with pytest.raises(ContractViolation, match="^a member takes only the batch its root holds"):
+                o.delete_batch(batch)
+            assert o.phase == "fresh" and o.deleted == frozenset()
 
     def test_deleting_an_own_extra(self):
+        # the engine never deactivates a vertex it activates, so a member
+        # refuses a batch that holds its own extra
         for rng, g, base_mask, extras, batch in self.instances(4):
-            base, o = self.augmented(g, base_mask, extras)
-            base.delete_batch(batch)
-            mine = batch | {rng.choice(extras)}
-            o.delete_batch(mine)
-            self.assert_matches_reference(o, (base_mask | mask_of(extras)) & ~mask_of(mine))
-
-    def test_an_augment_of_an_augment_reuses_the_root(self):
-        # base -> one extra -> two extras: top joins base's family, so it
-        # extends base's labels at build instead of labeling its own
-        for _, g, base_mask, extras, batch in self.instances(5):
             base = make_oracle("rebuild", g, base_mask)
-            mid = base.augment(extras[:1])
-            top = mid.augment(extras[1:])
-            assert top.root is base and top.extras == tuple(extras)
-            assert top.on is base.on
-            assert top._labels is base._forest.labels and top._moved == {}  # the root's fresh labels
-            active = base_mask | mask_of(extras)
-            self.assert_matches_reference(top, active)
-            for o in (base, mid, top):
-                o.delete_batch(batch)
-            assert top._moved is base._moved or not batch  # an empty push keeps the fresh map
-            self.assert_matches_reference(top, active & ~mask_of(batch))
+            base.delete_batch(batch)
+            o = Member(base, tuple(extras), {x: base.reach(x) for x in extras})
+            with pytest.raises(ContractViolation, match="^a member takes only the batch its root holds"):
+                o.delete_batch(batch | {rng.choice(extras)})
+            assert o.phase == "fresh"
 
     @pytest.mark.parametrize("root_holds", ["nothing", "another batch", "own extra"])
     def test_a_member_never_labels_from_scratch(self, monkeypatch, root_holds):
-        # path 0-...-19,999 with 100 inactive; the member over 100 is pushed
-        # {5} (plus 100 for "own extra"), which splits off only 0..4
-        labelings = []
-        original = oracle_mod.dfs_forest
-        monkeypatch.setattr(oracle_mod, "dfs_forest", lambda *a: labelings.append(a) or original(*a))
+        # path 0-...-19,999 with 100 inactive, the root holding nothing or
+        # another batch than any member's, {5}; for "own extra" the member
+        # is first offered {5, 100}. Neither deriving nor pushing nor
+        # querying the member over 100 labels or splits anything
+        labelings, splits = [], []
+        forest, split = oracle_mod.dfs_forest, oracle_mod.split_labels
+        monkeypatch.setattr(oracle_mod, "dfs_forest", lambda *a: labelings.append(a) or forest(*a))
+        monkeypatch.setattr(oracle_mod, "split_labels", lambda *a: splits.append(a) or split(*a))
         g = path_graph(20_000)
         base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100]))
-        o = base.augment([100])
-        batch = {5} | ({100} if root_holds == "own extra" else set())
         if root_holds != "nothing":
-            base.delete_batch({5} if root_holds == "own extra" else {10_000})
-        o.delete_batch(batch)
-        assert len(labelings) == 1  # the root's build
-        assert (o._moved is base._moved) is (root_holds == "own extra")
-        assert o.query(0, 4) and not o.query(4, 6)
-        assert o.query(6, g.n - 1) is (root_holds != "own extra")
-
-    @pytest.mark.parametrize("root_holds", ["nothing", "another batch"])
-    def test_a_member_splits_its_own_batch_locally(self, root_holds):
-        # path 0-...-19,999 with 100 inactive; the member over 100 is pushed
-        # {5}, which splits off only 0..4: it reads a few adjacency entries
-        # and records five relabeled vertices, and copies no n-entry list
-        g = path_graph(20_000)
-        base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100]))
-        o = base.augment([100])
-        if root_holds == "another batch":
-            base.delete_batch({10_000})
-        o.delete_batch({5})
-        assert o.costs.t_u <= 40, o.costs.t_u
-        assert sorted(o._moved) == [0, 1, 2, 3, 4]
-        assert o.query(0, 4) and not o.query(4, 6) and o.query(6, g.n - 1)
-
-    def test_a_member_deleting_only_its_extras_takes_the_roots_fresh_labels(self):
-        # path 0-...-199,999 with 100 and 200 inactive in the root, which
-        # holds {10,000}; the member over both is pushed {100} alone, so
-        # nothing of the root's is deleted: the member reads the root's fresh
-        # labels, which the root's push left as they were, with nothing moved
-        g = path_graph(200_000)
-        base = make_oracle("rebuild", g, mask_of(range(g.n)) & ~mask_of([100, 200]))
-        o = base.augment([100, 200])
-        base.delete_batch({10_000})
-        o.delete_batch({100})
-        assert o._labels is base._forest.labels and o._moved == {}
-        assert o.costs.t_u == len(g.adj[200])
-        assert o.query(0, 99) and o.query(101, 10_001) and not o.query(99, 101)
-
-    def test_a_roots_push_and_reset_leave_members_alone(self):
-        # path 0-...-9 with 5 inactive in the root
-        g = path_graph(10)
-        base = make_oracle("rebuild", g, mask_of(range(10)) & ~mask_of([5]))
-        o = base.augment([5])
-        o.delete_batch({5})  # only its extra, while the root holds nothing
-        assert o._moved is base._moved
-        base.delete_batch({2})  # splits {0, 1} off in the root alone
-        assert base._moved and o._moved == {}
-        assert o.query(0, 4) and o.query(6, 9) and not o.query(4, 6)
-        o.reset()
-        o.delete_batch({2})
-        assert o._moved is base._moved
-        base.reset()  # drops the root's map, not o's
-        assert base._moved == {} and o._moved
-        assert o.query(3, 9) and not o.query(1, 3) and base.query(1, 3)
-        assert base._forest.labels == dfs_forest(g, base.mask).labels
+            base.delete_batch({5})
+        work = len(splits)
+        o = Member(base, (100,), {100: base.reach(100)})
+        if root_holds == "own extra":
+            with pytest.raises(ContractViolation):
+                o.delete_batch({5, 100})
+        o.delete_batch(base.deleted)
+        assert len(labelings) == 1 and len(splits) == work  # the root's build and push alone
+        assert o.costs.t_u == len(g.adj[100])  # its one read of the extra's adjacency
+        assert o.query(0, 4) and o.query(99, 101) and o.query(6, g.n - 1)
+        assert o.query(4, 6) is (root_holds == "nothing")
 
     def test_a_member_pushed_alone_still_checks_its_batch(self):
         # path 0-1-2-3-4 with 2 and 4 inactive in the root, which holds {0}
         root = make_oracle("rebuild", path_graph(5), mask_of([0, 1, 3]))
-        o = root.augment([2])
         root.delete_batch({0})
-        for bad in ({0, 4}, {4}, {1, -1}):
-            with pytest.raises(ContractViolation, match=r"^cannot delete (4|-1): not active"):
+        o = Member(root, (2,), {2: root.reach(2)})
+        for bad in ({0, 4}, {4}, {1, -1}, {0}):  # {0} equals the root's batch, but is another set
+            with pytest.raises(ContractViolation, match="^a member takes only the batch its root holds"):
                 o.delete_batch(bad)
             assert o.phase == "fresh"
         o.delete_batch(root.deleted)  # the very set the root checked
         assert o.phase == "updated" and o.query(1, 3)
+        with pytest.raises(PhaseError):
+            o.delete_batch(root.deleted)
+
+    def test_a_pair_joins_through_an_edge_or_a_common_component(self):
+        # path 0-...-7 with 1, 2 and 6 inactive in the root, whose components
+        # are {0}, {3, 4, 5} and {7}: 1 and 2 are adjacent, and 1 and 6
+        # reach no common component
+        root = make_oracle("rebuild", path_graph(8), mask_of([0, 3, 4, 5, 7]))
+        reach = {x: root.reach(x) for x in (1, 2, 6)}
+        adjacent, apart, one = Member(root, (1, 2), reach), Member(root, (1, 6), reach), Member(root, (6,), reach)
+        assert adjacent.joined and not apart.joined
+        assert adjacent.query(0, 3) and adjacent.query(1, 2)
+        assert not apart.query(1, 6) and apart.query(1, 0) and apart.query(3, 7) and not apart.query(0, 7)
+        assert one.component(6) == one.component(7) < 0 <= one.component(0)
+
+
+class TestComponent:
+    """``_component`` gives each survivor a non-negative id, equal for two
+    survivors exactly when they are connected; ``component`` checks its
+    endpoint as ``query`` does, and ``reach`` gathers the ids of a vertex's
+    surviving active neighbours."""
+
+    @staticmethod
+    def instances(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(2, 14)
+            g = gnp_graph(n, rng.choice((0.15, 0.35, 0.6)), rng)
+            active = rng.getrandbits(n)
+            inside = list(iter_bits(active))
+            batch = set(rng.sample(inside, rng.randint(0, min(3, len(inside)))))
+            yield g, active, batch
 
     @pytest.mark.parametrize("factory", FACTORIES)
-    def test_augment_takes_inactive_ids(self, factory):
-        g = path_graph(4)
-        base = make_oracle(factory, g, mask_of([0, 1]))
-        for extras in ([1, 2], [2, 2]):  # an active id, a repeated id
-            with pytest.raises(ContractViolation, match="not an inactive vertex"):
-                base.augment(extras)
-        o = base.augment([2])
-        with pytest.raises(ContractViolation, match="cannot augment with 2"):
-            o.augment([2])
-        assert o.query(0, 2) is True
-        assert o.augment([3]).query(0, 3) is True
+    def test_ids_partition_the_survivors(self, factory):
+        for g, active, batch in self.instances(21):
+            o = make_oracle(factory, g, active)
+            o.delete_batch(batch)
+            alive = active & ~mask_of(batch)
+            for u in iter_bits(alive):
+                reach = reachable(g, alive, u)
+                assert o.component(u) == o._component(u) >= 0
+                for v in iter_bits(alive):
+                    assert (o.component(u) == o.component(v)) == (v in reach), (u, v)
 
     @pytest.mark.parametrize("factory", FACTORIES)
-    def test_a_third_extra_is_refused(self, factory, monkeypatch):
-        # path 0-1-2-3-4-5 with 1, 3 and 5 inactive in the root
-        root = make_oracle(factory, path_graph(6), mask_of([0, 2, 4]))
-        one, two = root.augment([1]), root.augment([1, 3])
-        built = []
-        init = DecrementalOracle.__init__
-        monkeypatch.setattr(DecrementalOracle, "__init__", lambda o, *a: built.append(o) or init(o, *a))
-        for o, extras in ((root, [1, 3, 5]), (one, [3, 5]), (two, [5])):
-            with pytest.raises(ContractViolation, match="^cannot augment with 5: .* at most 2 extras"):
-                o.augment(extras)
-        assert built == []
-        assert two.query(0, 4) is True
-        assert root.query(0, 2) is False
-        assert one.query(0, 2) is True
+    def test_reach_holds_the_ids_of_surviving_neighbours(self, factory):
+        for g, active, batch in self.instances(22):
+            o = make_oracle(factory, g, active)
+            o.delete_batch(batch)
+            alive = active & ~mask_of(batch)
+            for x in range(g.n):
+                if not active >> x & 1:
+                    assert o.reach(x) == {o.component(w) for w in g.adj[x] if alive >> w & 1}
+
+    def test_component_checks_its_endpoint(self):
+        # path 0-1-2-3-4 with 4 inactive, 2 deleted
+        o = make_oracle("rebuild", path_graph(5), mask_of([0, 1, 2, 3]))
+        o.delete_batch({2})
+        for bad, why in ((4, "is not active"), (-1, "is not active"), (5, "is not active"), (2, "is deleted")):
+            with pytest.raises(QueryEndpointError, match=f"^vertex {bad} {why}"):
+                o.component(bad)
+        assert o.component(0) == o.component(1) != o.component(3)
 
 
 class TestIdsOutsideTheGraph:
-    """Ids below 0 and from n on are rejected by a root and by an augmented
-    oracle alike. Path 0-1-2-3 with 2 inactive in the root: the last
-    vertex is active, so an unchecked -1 would wrap to it."""
+    """Ids below 0 and from n on are rejected by a root and by a member
+    alike. Path 0-1-2-3 with 2 inactive in the root: the last vertex is
+    active, so an unchecked -1 would wrap to it."""
 
     @pytest.fixture(params=FACTORIES)
     def family(self, request):
         root = make_oracle(request.param, path_graph(4), mask_of([0, 1, 3]))
-        return root, root.augment([2])
+        return root, member_of(root, [2])
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_query(self, family, bad):
@@ -431,19 +425,29 @@ class TestIdsOutsideTheGraph:
             for u, v in ((bad, 0), (0, bad)):
                 with pytest.raises(QueryEndpointError, match=f"^vertex {bad} is not active"):
                     o.query(u, v)
+            with pytest.raises(QueryEndpointError, match=f"^vertex {bad} is not active"):
+                o.component(bad)
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_delete_batch(self, family, bad):
-        for o in family:
-            with pytest.raises(ContractViolation, match=f"^cannot delete {bad}:"):
-                o.delete_batch({bad})
-            assert o.phase == "fresh"
+        root, member = family
+        with pytest.raises(ContractViolation, match=f"^cannot delete {bad}:"):
+            root.delete_batch({bad})
+        assert root.phase == "fresh"
+        member.reset()
+        with pytest.raises(ContractViolation, match="^a member takes only the batch its root holds"):
+            member.delete_batch({bad})
+        assert member.phase == "fresh"
 
     @pytest.mark.parametrize("bad", [-1, 4, 0, 3])
     def test_augment(self, family, bad):
-        for o in family:
-            with pytest.raises(ContractViolation, match=f"^cannot augment with {bad}:"):
-                o.augment([bad])
+        # the engine derives a member for each activated vertex, and
+        # refuses to activate anything but an inactive vertex of the graph
+        root, _ = family
+        s = build_fully_dynamic(root.graph, StatePartition.from_off(4, [2]), root.name)
+        with pytest.raises(ContractViolation, match=f"^cannot activate {bad}: not an inactive vertex"):
+            fd_update(s, [], [2, bad])
+        assert s.base.phase == "fresh" and s.reach == {} and s.session is None
 
 
 class TestReachable:
@@ -567,6 +571,9 @@ class TestRegistry:
 
             def _connected(self, u, v):
                 return True
+
+            def _component(self, v):
+                return 0
 
         assert "echo-test" in oracle_names()
         o = make_oracle("echo-test", path_graph(3))

@@ -8,14 +8,7 @@ import pytest
 import sensconn.connectivity_oracle as oracle_mod
 import sensconn.graph_core as graph_core
 from sensconn.bits import all_bits, iter_bits, mask_of
-from sensconn.connectivity_oracle import (
-    DecrementalOracle,
-    RebuildOracle,
-    make_oracle,
-    oracle_class,
-    oracle_names,
-    register_oracle,
-)
+from sensconn.connectivity_oracle import DecrementalOracle, Member, make_oracle, oracle_names
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import gnp_graph, path_graph
 from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest
@@ -41,14 +34,14 @@ class TestBuild:
         g, p = p5
         s = build_fully_dynamic(g, p)
         assert s.oracle_count == 2
-        assert (len(s.single), len(s.pairs)) == (0, 0)  # built by the first update that pushes them
+        assert s.reach == {} and s.session is None  # members are derived by the update that pushes them
 
     def test_three_inactive_vertices(self):
         g = path_graph(6)
         p = StatePartition.from_off(6, [0, 2, 4])
         s = build_fully_dynamic(g, p)
         assert s.oracle_count == 7
-        assert (len(s.single), len(s.pairs)) == (0, 0)
+        assert s.reach == {} and s.session is None
 
     def test_all_active(self):
         g = path_graph(4)
@@ -75,7 +68,7 @@ class TestBuild:
         s = build_fully_dynamic(g, p)
         f = s.base._forest
         assert s.base.costs.t_p == g.n + 2 * g.m + len(f.low) + sum(map(len, f.mins)) > 0
-        assert (s.single, s.pairs) == ({}, {})
+        assert s.reach == {}
 
 
 class TestUpdate:
@@ -129,31 +122,35 @@ class TestUpdate:
         with pytest.raises(PhaseError):
             fd_update(s, [0], [])
 
-    def test_failed_update_leaves_the_structure_usable(self, p5, oracle_registry):
+    def test_failed_update_leaves_the_structure_usable(self, three_hubs, monkeypatch):
+        # 8 deactivated, 0, 5 and 6 activated: 1 + 3 + 3 pushes, the base's
+        # first, then the members'; a fault at each in turn
         class InjectedFault(RuntimeError):
             pass
 
-        @register_oracle
-        class _FailsOnSecondPush(RebuildOracle):
-            name = "rebuild-fails-on-second-push-test"
-            pushes = 0
+        push = DecrementalOracle.delete_batch
+        countdown = [0]
 
-            def _apply_delete(self, vertices):
-                type(self).pushes += 1
-                if type(self).pushes == 2:
-                    raise InjectedFault("second push fails")
-                super()._apply_delete(vertices)
+        def faulty(o, vertices):
+            countdown[0] -= 1
+            if countdown[0] == 0:
+                raise InjectedFault(f"push fails: {o.name}")
+            push(o, vertices)
 
-        g, p = p5
-        s = build_fully_dynamic(g, p, "rebuild-fails-on-second-push-test")
-        with pytest.raises(InjectedFault):
-            fd_update(s, [], [2])  # base oracle pushed, then single[2] fails
-        assert s.session is None
-        assert all(o.phase == "fresh" for o in [s.base, *s.single.values()])
-        a = fd_update(s, [], [2])
-        assert fd_query(s, a, 0, 4) is True
-        fd_rollback(s, a)
-        assert s.session is None
+        monkeypatch.setattr(DecrementalOracle, "delete_batch", faulty)
+        g, p = three_hubs
+        s = build_fully_dynamic(g, p)
+        active = (set(iter_bits(p.on_mask)) - {8}) | {0, 5, 6}
+        for position in range(1, 1 + 3 + 3 + 1):
+            countdown[0] = position
+            with pytest.raises(InjectedFault, match="rebuild" if position == 1 else "member"):
+                fd_update(s, [8], [0, 5, 6])
+            assert s.session is None and s.reach == {}
+            assert s.base.phase == "fresh" and s.base.deleted == frozenset() and s.base._moved == {}
+            a = fd_update(s, [8], [0, 5, 6])
+            assert all(fd_query(s, a, u, v) == brute_connected(g, active, u, v) for u in active for v in active)
+            fd_rollback(s, a)
+            assert s.session is None
 
     def test_illegal_batches_rejected(self, mixed):
         g, p = mixed
@@ -264,11 +261,11 @@ class TestPushCost:
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [1_000, n - 1_000], p.off_vertices)
         assert len(a.touched) == 1 + 3 + 3
-        assert all(o._moved is s.base._moved and o.costs.t_u < 100 for o in a.touched[1:])
+        assert all(o.costs.t_u < 100 for o in a.touched[1:])
         assert fd_query(s, a, 0, 999) and fd_query(s, a, 1_001, n - 1_001)  # through the activated vertices
         assert not fd_query(s, a, 999, 1_001)
         fd_rollback(s, a)
-        assert all(o._moved == {} for o in a.touched)
+        assert s.base._moved == {}
         assert s.base._labels is s.base._forest.labels
         assert s.base._labels == dfs_forest(g, p.on_mask).labels
 
@@ -346,14 +343,28 @@ class TestPushCost:
             for down in self.pushes(g, p, s, rng, 4, 50):
                 if decided[-1]:  # it read no adjacency and relabeled nothing
                     assert reads[-1] == 0 and s.base._moved == {}
-                    assert all(o._moved is s.base._moved for o in s.session.touched)
                     ratios.append(s.base.costs.t_u / (4 + sum(len(g.adj[x]) for x in down)))
-            assert len(decided) == len(reads) == 50  # one root push per batch, no member split
+            assert len(decided) == len(reads) == 50  # one root push per batch; members split nothing
             assert len(ratios) >= 45, (g.n, len(ratios))
             medians.append(statistics.median(ratios))
             maxima.append(max(ratios))
         assert max(medians) <= 2, medians
         assert maxima[-1] <= 1.5 * maxima[0], maxima
+
+    def test_member_pushes_count_each_reach_read_once(self):
+        # the members' t_u sums to the activated vertices' degrees: each
+        # reach set is read once, for its single member, and pairs read none
+        rng = random.Random(9)
+        g = gnp_graph(40, 0.2, rng)
+        p = StatePartition.from_off(40, range(0, 40, 3))
+        s = build_fully_dynamic(g, p)
+        for _ in range(20):
+            up = rng.sample(p.off_vertices, rng.randint(0, 6))
+            down = rng.sample(sorted(iter_bits(p.on_mask)), rng.randint(0, 3))
+            a = fd_update(s, down, up)
+            assert sum(o.costs.t_u for o in a.touched[1:]) == sum(len(g.adj[x]) for x in up)
+            assert all(o.costs.t_u == 0 for o in a.touched[1 + len(up):])
+            fd_rollback(s, a)
 
     def test_an_engine_update_checks_its_batch_once(self, monkeypatch):
         rng = random.Random(8)
@@ -361,19 +372,19 @@ class TestPushCost:
         p = StatePartition.from_off(24, range(0, 24, 4))
         s = build_fully_dynamic(g, p)
         down, up = [1, 2, 3], [0, 4, 8]
-        fd_rollback(s, fd_update(s, down, up))  # builds the members, whose augment checks its extras
         checked = []
         has = DecrementalOracle._has
         monkeypatch.setattr(DecrementalOracle, "_has", lambda o, v: checked.append(v) or has(o, v))
         a = fd_update(s, down, up)
         assert len(a.touched) == 1 + 3 + 3
-        assert sorted(checked) == down  # the root's check alone
+        assert sorted(checked) == down  # the root's check alone; a member checks its batch is the root's
         fd_rollback(s, a)
 
 
 class TestBuildOnFirstPush:
-    """Preprocessing builds only the root. fd_update builds each augmented
-    oracle the first time it pushes it, and the structure keeps it."""
+    """Preprocessing builds only the root, the one oracle a structure ever
+    builds. Each batch derives its members inside fd_update, before it
+    pushes them, and the structure keeps none of them after rollback."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -395,53 +406,49 @@ class TestBuildOnFirstPush:
         assert built == [s.base]
         assert s.oracle_count == 1 + 1_000 + pairs_of(1_000)
 
-    def test_a_batch_builds_only_its_new_members_and_only_once(self, built):
+    def test_a_batch_derives_its_members_and_keeps_none(self, built):
         g, p = TestLabelingsPerBatch.instance()
         s = build_fully_dynamic(g, p)
         built.clear()
         up = [0, 4, 8, 12]
         k = len(up)
         a = fd_update(s, [1, 2], up)
-        assert built == list(a.touched[1:])
-        assert (len(s.single), len(s.pairs)) == (k, pairs_of(k))
+        assert built == []
+        assert [o.extras for o in a.touched[1:]] == [(x,) for x in up] + list(itertools.combinations(up, 2))
+        assert all(type(o) is Member and o.root is s.base for o in a.touched[1:])
+        assert sorted(s.reach) == up and len(a.touched) == 1 + k + pairs_of(k)
         active = (set(iter_bits(p.on_mask)) - {1, 2}) | set(up)
         for u in active:
             for v in active:
                 assert fd_query(s, a, u, v) == brute_connected(g, active, u, v)
         fd_rollback(s, a)
+        assert s.reach == {} and s.session is None
         b = fd_update(s, [1, 2], up)
-        assert b.touched == a.touched
+        assert set(map(id, b.touched[1:])).isdisjoint(map(id, a.touched[1:]))  # new views of the new batch
         fd_rollback(s, b)
-        assert len(built) == k + pairs_of(k)  # the queries and the repeat built none
-        c = fd_update(s, [], [8, 12, 16])
-        assert built[k + pairs_of(k):] == [s.single[16], s.pairs[8, 16], s.pairs[12, 16]]
-        fd_rollback(s, c)
+        assert built == []
 
     @pytest.mark.parametrize("factory", oracle_names())
-    def test_a_member_build_that_fails_leaves_the_structure_usable(self, factory, three_hubs, oracle_registry):
+    def test_a_member_build_that_fails_leaves_the_structure_usable(self, factory, three_hubs, monkeypatch):
         class InjectedFault(RuntimeError):
             pass
 
-        @register_oracle
-        class _FailsOnSecondAugment(oracle_class(factory)):
-            name = f"{factory}-fails-on-second-augment-test"
-            augments = 0
+        derive = Member._preprocess
+        built = []
 
-            def _preprocess(self):
-                if self.root is not self:
-                    type(self).augments += 1
-                    if type(self).augments == 2:
-                        raise InjectedFault("second augmented build fails")
-                super()._preprocess()
+        def faulty(o):
+            built.append(o.extras)
+            if len(built) == 2:
+                raise InjectedFault("second member build fails")
+            derive(o)
 
+        monkeypatch.setattr(Member, "_preprocess", faulty)
         g, p = three_hubs
-        s = build_fully_dynamic(g, p, _FailsOnSecondAugment.name)
+        s = build_fully_dynamic(g, p, factory)
         with pytest.raises(InjectedFault):
-            fd_update(s, [8], [0, 5, 6])  # single[0] is built, then single[5] fails
-        assert s.session is None
-        assert (list(s.single), s.pairs) == ([0], {})
-        oracles = [s.base, *s.single.values()]
-        assert all(o.phase == "fresh" and not o.deleted for o in oracles)
+            fd_update(s, [8], [0, 5, 6])  # after the base's push, the second member fails
+        assert s.session is None and s.reach == {}
+        assert s.base.phase == "fresh" and not s.base.deleted
         a = fd_update(s, [8], [0, 5, 6])
         assert len(a.touched) == 1 + 3 + 3
         active = (set(iter_bits(p.on_mask)) - {8}) | {0, 5, 6}
@@ -454,8 +461,8 @@ class TestBuildOnFirstPush:
 
 class TestInactiveHub:
     """An inactive vertex whose neighbours lie in thousands of base
-    components: its oracles' merge maps still cost O(deg), at build and per
-    push, not O(deg^2)."""
+    components: its reach set still costs O(deg) per update, read once for
+    its single member and shared by its pairs, not O(deg^2)."""
 
     def test_star_with_an_inactive_centre(self):
         leaves = 3000
@@ -463,9 +470,10 @@ class TestInactiveHub:
         p = StatePartition.from_off(leaves + 1, [0, 1])
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [0, 1])
-        for o in (s.single[0], s.pairs[0, 1]):  # built by this update
-            assert o.costs.t_p <= 3 * leaves
-            assert 0 < o.costs.t_u <= 3 * leaves
+        hub, leaf, pair = a.touched[1:]
+        assert hub.extras == (0,) and len(s.reach[0]) == leaves - 2
+        assert 0 < hub.costs.t_u <= 3 * leaves
+        assert leaf.costs.t_u == 1 and pair.costs.t_u == 0  # the pair reuses both reach sets
         assert fd_query(s, a, 1, leaves) is True
         assert fd_query(s, a, 3, leaves) is True
         fd_rollback(s, a)
@@ -518,8 +526,8 @@ class TestQuery:
     @pytest.mark.parametrize("factory", oracle_names())
     def test_illegal_endpoint_adds_no_probes(self, factory, three_hubs):
         # 8 deactivated, 0 and 6 activated, 1 inactive and not activated:
-        # an old vertex (7) meets each illegal endpoint in the base oracle,
-        # an activated one (0) in its member single[0]
+        # an old vertex (7) meets each illegal endpoint in the base's query,
+        # an activated one (0) in the base's component read
         g, p = three_hubs
         s = build_fully_dynamic(g, p, factory)
         a = fd_update(s, [8], [0, 6])
@@ -533,6 +541,19 @@ class TestQuery:
                     with pytest.raises(QueryEndpointError):
                         fd_query(s, a, u, v)
         assert a.query_probes == probes
+
+    def test_queries_write_no_reach_set(self, three_hubs):
+        # fd_update fills the reach sets; a query only reads them
+        g, p = three_hubs
+        s = build_fully_dynamic(g, p)
+        a = fd_update(s, [8], [0, 5, 6])
+        filled = {x: set(r) for x, r in s.reach.items()}
+        active = (set(iter_bits(p.on_mask)) - {8}) | {0, 5, 6}
+        for u in active:
+            for v in active:
+                fd_query(s, a, u, v)
+        assert s.reach == filled and sorted(s.reach) == [0, 5, 6]
+        fd_rollback(s, a)
 
     def test_stale_handle_rejected(self, p5):
         g, p = p5
@@ -576,30 +597,25 @@ def ladder_graph(rungs, width):
 
 
 class TestOneCheckedCallPerQuery:
-    """A fully dynamic query makes one checked ``query`` call, its first
-    oracle query, and sends the rest to ``_connected``; an update makes its
-    C(k,2) pair queries through the checked ``query``."""
+    """A fully dynamic query makes one checked call, its first oracle query:
+    ``query`` or ``component`` on the base. It answers the rest from the
+    batch's reach sets. An update makes its C(k,2) pair queries through the
+    checked ``query`` of its pair members."""
 
     @pytest.fixture
-    def counting(self, oracle_registry):
-        """Registers ``rebuild`` under a test name, counting ``query`` and
-        ``_connected`` calls apart. Every oracle query ends in
-        ``_connected``, so its count is the total."""
-        calls = {"query": 0, "_connected": 0}
+    def counting(self, monkeypatch):
+        """Counts the checked calls, ``query`` and ``component``, of every
+        oracle, the members included; returns the factory and the counts."""
+        calls = {"query": 0, "component": 0}
+        for name in calls:
+            checked = getattr(DecrementalOracle, name)
 
-        @register_oracle
-        class Counting(RebuildOracle):
-            name = "counting-test"
+            def counted(o, *args, name=name, checked=checked):
+                calls[name] += 1
+                return checked(o, *args)
 
-            def query(self, u, v):
-                calls["query"] += 1
-                return super().query(u, v)
-
-            def _connected(self, u, v):
-                calls["_connected"] += 1
-                return super()._connected(u, v)
-
-        return Counting.name, calls
+            monkeypatch.setattr(DecrementalOracle, name, counted)
+        return "rebuild", calls
 
     @staticmethod
     def run_batch(g, p, factory, calls, down, up):
@@ -607,20 +623,21 @@ class TestOneCheckedCallPerQuery:
         queries one query made."""
         k = len(up)
         s = build_fully_dynamic(g, p, factory)
-        calls.update(query=0, _connected=0)
+        calls.update(query=0, component=0)
         a = fd_update(s, down, up)
-        assert calls == {"query": pairs_of(k), "_connected": pairs_of(k)}
+        assert calls == {"query": pairs_of(k), "component": 0}
         assert a.build_probes == pairs_of(k)
         alive = sorted(iter_bits((p.on_mask & ~mask_of(down)) | mask_of(up)))
         most = 0
         for u in alive:
             for v in alive:
-                calls.update(query=0, _connected=0)
+                calls.update(query=0, component=0)
                 before = a.query_probes
                 assert fd_query(s, a, u, v) == brute_connected(g, set(alive), u, v)
                 made = a.query_probes - before
-                assert calls == {"query": 0 if u in up and v in up else 1, "_connected": made}
-                assert made <= 1 + 2 * k
+                checked = calls["query"] + calls["component"]
+                assert checked == (0 if u in up and v in up else 1)
+                assert checked <= made <= 1 + 2 * k
                 most = max(most, made)
         fd_rollback(s, a)
         return most
@@ -660,13 +677,14 @@ class TestRecord:
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [8], [6, 0, 5])
         assert s.base.deleted == frozenset({8})
-        assert a.touched == (s.base, s.single[0], s.single[5], s.single[6],
-                             s.pairs[0, 5], s.pairs[0, 6], s.pairs[5, 6])
-        assert all(o.deleted == frozenset({8}) for o in a.touched)
+        assert a.touched[0] is s.base
+        assert [o.extras for o in a.touched[1:]] == [(0,), (5,), (6,), (0, 5), (0, 6), (5, 6)]
+        assert all(o.deleted is s.base.deleted for o in a.touched)
+        assert s.reach == {0: {s.base._component(7)}, 5: set(), 6: {s.base._component(7)}}
         assert a.components == ((0, 6), (5,))
         assert a.comp == {0: 0, 5: 1, 6: 0}
         fd_rollback(s, a)
-        assert all(o.phase == "fresh" and o.deleted == frozenset() for o in a.touched)
+        assert s.base.phase == "fresh" and s.base.deleted == frozenset() and s.reach == {}
 
     def test_activation_only_batch_matches_the_incremental_record(self, three_hubs):
         g, p = three_hubs
@@ -685,13 +703,15 @@ class TestRollback:
         b = fd_update(s, [2], [5])
         assert b.edges == edges
 
-    def test_reset_calls_equal_delete_calls(self, mixed):
+    def test_rollback_resets_the_base_and_drops_the_members(self, mixed):
         g, p = mixed
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
         assert len(a.touched) == 1 + 1 + 0  # 1 + |I| + C(|I|, 2) pushes for I = {5}
+        assert list(s.reach) == [5]
         fd_rollback(s, a)
-        assert all(o.phase == "fresh" for o in a.touched)
+        assert s.base.phase == "fresh" and s.base.deleted == frozenset()
+        assert s.reach == {} and s.session is None
 
     def test_empty_update_after_rollback_matches_initial_state(self, p5):
         g, p = p5
@@ -747,9 +767,8 @@ class TestDoubling:
         with pytest.raises(CapacityError):
             fam.dispatch_update([0, 1, 3], [])
         s = fam.structure_for(2)
-        assert s.session is None
-        oracles = [s.base, *s.single.values(), *s.pairs.values()]
-        assert all(o.phase == "fresh" and not o.deleted for o in oracles)
+        assert s.session is None and s.reach == {}
+        assert s.base.phase == "fresh" and not s.base.deleted
 
     def test_dispatch_reports_a_vertex_on_both_sides(self):
         fam = build_doubling(path_graph(6), StatePartition.from_off(6, [2, 4]), 2)
@@ -788,34 +807,30 @@ class TestMemory:
         assert answers == [True, False, False, True]
         assert peak <= 1_000 * n, f"peak {peak / n:.0f} B/vertex"
 
-    @staticmethod
-    def bytes_per_augmented_oracle(n, n_off=20, seed=7):
-        """Bytes the augmented oracles of a rebuild family retain, per
-        oracle: the family's retained bytes less those of its root alone.
-        The graph has 2n random edges, average degree about 4."""
-        rng = random.Random(seed)
+    def test_the_structure_retains_the_root_alone(self):
+        """Members live for one batch: after batches that activate every
+        inactive vertex in turn, 16 at a time, so that each derives 1 + 16
+        + 120 members, the structure retains what its root alone does, give
+        or take a few kilobytes."""
+        n, n_off, k = 20_000, 300, 16
+        rng = random.Random(11)
         g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)))
         p = StatePartition.from_off(n, rng.sample(range(n), n_off))
-
-        def every_member():
-            s = build_fully_dynamic(g, p)
-            fd_rollback(s, fd_update(s, [], p.off_vertices))  # builds all n_off + C(n_off, 2)
-            assert (len(s.single), len(s.pairs)) == (n_off, pairs_of(n_off))
-            return s
-
+        off, v0 = p.off_vertices, next(iter_bits(p.on_mask))
         retained = []
-        for build in (lambda: make_oracle("rebuild", g, p.on_mask), every_member):
-            tracemalloc.start()
-            try:
-                kept = build()
-                retained.append(tracemalloc.get_traced_memory()[0])
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            kept = make_oracle("rebuild", g, p.on_mask)
+            retained.append(tracemalloc.get_traced_memory()[0])
             del kept
-        return (retained[1] - retained[0]) / (n_off + pairs_of(n_off))
-
-    def test_an_augmented_oracle_does_not_grow_with_n(self):
-        """An augmented oracle keeps its extras and reads the root's active
-        set, so it holds nothing as wide as the graph."""
-        small, large = self.bytes_per_augmented_oracle(2_000), self.bytes_per_augmented_oracle(50_000)
-        assert large <= 1.5 * small, f"{small:.0f} B at n = 2,000, {large:.0f} B at n = 50,000"
+            base = tracemalloc.get_traced_memory()[0]
+            s = build_fully_dynamic(g, p)
+            for i in range(0, 2 * n_off, k):  # every inactive vertex, twice
+                a = fd_update(s, [], [off[(i + j) % n_off] for j in range(k)])
+                fd_query(s, a, off[i % n_off], v0)
+                fd_rollback(s, a)
+            del a
+            retained.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert retained[1] <= retained[0] + 64_000, f"root {retained[0]:,} B, structure {retained[1]:,} B"

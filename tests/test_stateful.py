@@ -2,9 +2,9 @@
 queries, rollbacks and failed updates, checked against tests/reference.py
 for every registered oracle factory.
 
-The oracles of one structure share state across calls (augmented rebuild
-oracles read their base's labeling), so the sequence matters as much as any
-single batch does.
+The members of a batch read their base's component ids after that batch,
+and the base's pushes and resets follow one another across calls, so the
+sequence matters as much as any single batch does.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 )
 
 from sensconn.bits import iter_bits
-from sensconn.connectivity_oracle import oracle_class, oracle_names, register_oracle
+from sensconn.connectivity_oracle import DecrementalOracle, oracle_names
 from sensconn.errors import QueryEndpointError
 from sensconn.fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
 from sensconn.graph_core import dfs_forest
@@ -33,34 +33,34 @@ class InjectedFault(RuntimeError):
     pass
 
 
-def faulty_factory(factory):
-    """Register a subclass of ``factory`` whose pushes raise when its
-    countdown reaches zero; the countdown is off (None) until armed."""
+class Countdown:
+    """Arms a push to raise when the countdown reaches zero; the countdown
+    is off (None) until armed. ``push`` stands in for
+    ``DecrementalOracle.delete_batch``, so it reaches every push of an
+    update: the base's and each member's."""
 
-    @register_oracle
-    class Faulty(oracle_class(factory)):
-        name = f"{factory}-faulty-test"
-        countdown = None
+    def __init__(self):
+        self.left = None
+        original = DecrementalOracle.delete_batch
 
-        def _apply_delete(self, vertices):
-            cls = type(self)
-            if cls.countdown is not None:
-                cls.countdown -= 1
-                if cls.countdown == 0:
-                    cls.countdown = None
+        def push(oracle, vertices):
+            if self.left is not None:
+                self.left -= 1
+                if self.left == 0:
+                    self.left = None
                     raise InjectedFault("injected push failure")
-            super()._apply_delete(vertices)
+            original(oracle, vertices)
 
-    return Faulty
+        self.push = push
 
 
-def machine_for(factory_cls):
+def machine_for(factory, countdown):
     class FullyDynamicMachine(RuleBasedStateMachine):
         @initialize(gp=graphs_with_partition(max_n=9))
         def build(self, gp):
             self.g, self.p = gp
-            factory_cls.countdown = None
-            self.s = build_fully_dynamic(self.g, self.p, factory_cls.name)
+            countdown.left = None
+            self.s = build_fully_dynamic(self.g, self.p, factory)
             self.fresh_labels = dfs_forest(self.g, self.p.on_mask).labels
             self.session = None
             self.active = set()
@@ -88,11 +88,12 @@ def machine_for(factory_cls):
             down, up = self.batch(data)
             k = len(up)
             pushes = 1 + k + k * (k - 1) // 2
-            factory_cls.countdown = data.draw(st.integers(1, pushes), label="failing push")
+            countdown.left = data.draw(st.integers(1, pushes), label="failing push")
             with pytest.raises(InjectedFault):
                 fd_update(self.s, down, up)
-            assert factory_cls.countdown is None
-            assert self.s.session is None
+            assert countdown.left is None
+            assert self.s.session is None and self.s.reach == {}
+            assert self.s.base.phase == "fresh" and self.s.base.deleted == frozenset()
 
         @precondition(lambda self: self.session is not None)
         @rule(data=st.data())
@@ -124,14 +125,14 @@ def machine_for(factory_cls):
         @invariant()
         def idle_means_fresh(self):
             if self.session is None:
-                s = self.s
-                oracles = [s.base, *s.single.values(), *s.pairs.values()]
-                assert all(o.phase == "fresh" for o in oracles)
+                assert self.s.base.phase == "fresh" and self.s.reach == {}
 
     return FullyDynamicMachine
 
 
 @pytest.mark.parametrize("factory", oracle_names())
-def test_update_query_rollback_sequences(factory, oracle_registry):
-    machine = machine_for(faulty_factory(factory))
+def test_update_query_rollback_sequences(factory, monkeypatch):
+    countdown = Countdown()
+    monkeypatch.setattr(DecrementalOracle, "delete_batch", countdown.push)
+    machine = machine_for(factory, countdown)
     run_state_machine_as_test(machine, settings=settings(max_examples=60, stateful_step_count=25))
