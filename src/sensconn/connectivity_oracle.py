@@ -7,12 +7,13 @@ dynamic engine and the CLI. One ships built in, ``rebuild``; ``register_oracle``
 plugs in others. A factory implements one oracle over an active vertex set,
 a family's root. ``Member`` derives the family's other oracles, over the
 root's vertices plus one or two extra ones, from the root's component ids
-after the batch the root holds; a member lives for that one batch.
+after the batch the root holds; no member outlives its update.
 """
 
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bits import all_bits, word_count
@@ -52,15 +53,16 @@ class DecrementalOracle(abc.ABC):
     flag string ``on``.
 
     A factory implements ``_preprocess``, ``_apply_delete``, ``_apply_reset``
-    and two unchecked reads: ``_connected(u, v)``, and ``_component(v)``, a
-    non-negative int id of survivor ``v``'s component after the batch, equal
-    for two survivors exactly when they are connected. ``query`` and
-    ``component`` are their checked entry points. The fully dynamic engine
-    sends each query's first oracle call through one of them, its only check
-    of the endpoints, and reads ``_component`` of the endpoints it proved
-    legal after that. ``reach`` builds from ``_component`` what a ``Member``
-    over this oracle's vertices plus one or two extras needs, so a factory
-    implements only the root of a family; its members live for one batch.
+    and one unchecked read, ``_component(v)``: a non-negative int id of
+    survivor ``v``'s component after the batch, equal for two survivors
+    exactly when they are connected; ``_connected(u, v)`` compares two ids
+    unless overridden. ``query`` and ``component`` are their checked entry
+    points. The fully dynamic engine sends each query's first oracle call
+    through one of them, its only check of the endpoints, and reads
+    ``_component`` of the endpoints it proved legal after that. ``reach``
+    builds from ``_component`` what a ``Member`` over this oracle's vertices
+    plus one or two extras needs, so a factory implements only the root of a
+    family; no member outlives the update that derives it.
 
     ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``;
     ``query``, ``component`` and ``reach`` only read. Concurrent reads of one
@@ -143,8 +145,8 @@ class DecrementalOracle(abc.ABC):
     @abc.abstractmethod
     def _apply_reset(self): ...
 
-    @abc.abstractmethod
-    def _connected(self, u: int, v: int) -> bool: ...
+    def _connected(self, u: int, v: int) -> bool:
+        return self._component(u) == self._component(v)
 
     @abc.abstractmethod
     def _component(self, v: int) -> int: ...
@@ -159,9 +161,9 @@ class Member(DecrementalOracle):
     holds, and two extras join each other when they are adjacent or reach a
     common component, which ``_preprocess`` records. A member's push takes
     only the very set its root holds, in O(1). It answers right only while
-    its root holds that batch, so it lives for one batch. An id the member
-    gives to a component one of its extras joins is negative, ``~`` that
-    extra; every other survivor keeps its root id.
+    its root holds that batch, so it lives inside one ``fd_update``. An id
+    the member gives to a component one of its extras joins is negative,
+    ``~`` that extra; every other survivor keeps its root id.
     """
 
     name = "member"
@@ -176,7 +178,9 @@ class Member(DecrementalOracle):
     def _preprocess(self):
         if len(self.extras) == 2:
             a, b = self.extras
-            self.joined = b in self.graph.adj[a] or not self.reach[a].isdisjoint(self.reach[b])
+            adj = self.graph.adj[a]  # sorted: one bisect, O(log deg), tests the edge
+            i = bisect_left(adj, b)
+            self.joined = (i < len(adj) and adj[i] == b) or not self.reach[a].isdisjoint(self.reach[b])
 
     def _check_batch(self, vertices):
         if vertices is not self.root.deleted:
@@ -195,9 +199,6 @@ class Member(DecrementalOracle):
             if c == ~x or c in self.reach[x]:
                 return ~self.extras[0] if self.joined else ~x
         return c
-
-    def _connected(self, u, v):
-        return self._component(u) == self._component(v)
 
 
 _REGISTRY: dict[str, type[DecrementalOracle]] = {}

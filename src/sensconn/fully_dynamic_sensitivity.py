@@ -7,16 +7,16 @@ vertex ids. Preprocessing builds only the base oracle, the family's root;
 no other oracle is ever built or kept. An update pushes the deactivations
 into the base, reads once per activated vertex the ids of the surviving
 components it touches (``reach``), and derives from those each augmented
-oracle it consults as a ``Member`` that lives for this batch alone. It
-pushes each member the base's very batch, in O(1), then builds the bridge
-graph over the activated vertices from pair-member queries. That bridge
-graph (SuperGraph) is the batch's record: it also holds the pushed oracles,
-and the deactivated vertices are the base oracle's ``deleted`` set. Rollback
-resets the base and drops the members and the reach sets. A query needs at
-most 1 + 2d oracle queries and counts them on that bridge graph; the first
-is a checked read of the base, ``query`` or ``component``, the engine's only
-check of the endpoints, and the rest are reach-set lookups of the ids
-``_component`` gives.
+oracle it consults as a ``Member``, local to the update. It pushes each
+member the base's very batch, in O(1), then builds the bridge graph over the
+activated vertices from pair-member queries. That bridge graph (SuperGraph)
+is the batch's record, as plain data: its ``reach`` sets and its ``pushes``
+count; the deactivated vertices are the base oracle's ``deleted`` set. No
+member outlives the update. Rollback resets the base. A query needs at most
+1 + 2d oracle queries and counts them on that bridge graph; the first is a
+checked read of the base, ``query`` or ``component``, the engine's only check
+of the endpoints, and the rest are lookups in the record's reach sets of the
+ids ``_component`` gives.
 
 With the ``rebuild`` factory the root labels the survivors once at build,
 by a depth-first forest it keeps and never writes, and in each update that
@@ -46,10 +46,7 @@ from .incremental_sensitivity import SuperGraph, build_supergraph
 @dataclass
 class FullyDynamicStructure:
     """Oracle family for one graph and partition: its root ``base``, and
-    while a batch is held, ``reach``, which maps each activated vertex to
-    the ids of the surviving base components it touches. ``fd_update``
-    fills ``reach`` and ``fd_rollback`` drops it, with the batch's members;
-    no query writes it.
+    while a batch is held, ``session``, that batch's bridge graph.
 
     fd_update and fd_rollback push deletions into and reset the base, so
     they need exclusive access. fd_query only reads, and like
@@ -60,7 +57,6 @@ class FullyDynamicStructure:
     partition: StatePartition
     factory: str
     base: DecrementalOracle  # over the base active vertices; the only oracle built
-    reach: dict[int, set[int]] = field(default_factory=dict)  # activated x -> base.reach(x)
     session: SuperGraph | None = None
 
     @property
@@ -81,14 +77,15 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     """Process one batch: push the deactivations into the base, derive and
     push the members, then build the bridge graph over the activated
     vertices from pair-member queries. The bridge graph is the batch's
-    record and its handle.
+    record and its handle; it keeps the activated vertices' ``reach`` sets,
+    and no member outlives this call.
 
-    Oracle-call accounting: len(touched) = 1 + |I| + C(|I|, 2) delete calls
-    and build_probes = C(|I|, 2) pair queries, where I is the activation set.
+    Oracle-call accounting: pushes = 1 + |I| + C(|I|, 2) delete calls and
+    build_probes = C(|I|, 2) pair queries, where I is the activation set.
     ``reach`` reads each activated vertex's adjacency once, O(sum deg(I)),
     counted in the ``t_u`` of that vertex's single member. If any step
-    raises, the base is reset and ``reach`` dropped before the exception
-    propagates, so the structure stays ready for the next update.
+    raises, the base is reset before the exception propagates, so the
+    structure stays ready for the next update.
     """
     if s.session is not None:
         raise PhaseError("an update is active; roll it back before starting another")
@@ -97,16 +94,16 @@ def fd_update(s: FullyDynamicStructure, deactivate, activate) -> SuperGraph:
     base = s.base
     try:
         base.delete_batch(batch.deactivate)
-        s.reach = reach = {x: base.reach(x) for x in up}
+        reach = {x: base.reach(x) for x in up}
         pairs = {ab: Member(base, ab, reach) for ab in combinations(up, 2)}
-        touched = (base, *(Member(base, (x,), reach) for x in up), *pairs.values())
-        for o in touched[1:]:
+        members = (*(Member(base, (x,), reach) for x in up), *pairs.values())
+        for o in members:
             o.delete_batch(base.deleted)
-        sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y), touched=touched)
+        sg = build_supergraph(up, lambda x, y: pairs[x, y].query(x, y))
     except BaseException:
         base.reset()
-        s.reach = {}
         raise
+    sg.reach, sg.pushes = reach, 1 + len(members)
     s.session = sg
     return sg
 
@@ -133,7 +130,7 @@ def fd_query(s: FullyDynamicStructure, a: SuperGraph, u: int, v: int) -> bool:
     v_new = v in comp
     if u_new and v_new:
         return comp[u] == comp[v]
-    base, reach = s.base, s.reach
+    base, reach = s.base, a.reach
     if not u_new and not v_new:
         if base.query(u, v):
             a.query_probes += 1
@@ -169,12 +166,10 @@ def fd_query(s: FullyDynamicStructure, a: SuperGraph, u: int, v: int) -> bool:
 
 
 def fd_rollback(s: FullyDynamicStructure, a: SuperGraph) -> None:
-    """Reset the base, drop the batch's members and reach sets, and clear
-    the session."""
+    """Reset the base and clear the session."""
     if s.session is not a:
         raise ContractViolation("stale update handle")
     s.base.reset()
-    s.reach = {}
     s.session = None
 
 

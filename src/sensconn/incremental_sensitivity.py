@@ -7,8 +7,8 @@ component or a direct edge. An update of batch size d then builds a bridge
 graph over the batch with one bit probe per pair, and packs each bridge
 component's members into one mask over the same dense off indices. A query
 then tests a whole bridge component against an endpoint's component with one
-AND of two n_off-bit masks. The bridge graph (SuperGraph) is the batch's only
-record, and counts both: a query counts the bit probes that a scan of each
+AND of two n_off-bit masks. The bridge graph (SuperGraph), which the fully
+dynamic engine's batches share, is the batch's only record, and counts both: a query counts the bit probes that a scan of each
 component's members in ascending order would make, at most 2d.
 
 The index is never mutated by updates, so rollback is simply dropping the
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bits import has_bit, word_count
-from .connectivity_oracle import DecrementalOracle
 from .errors import CapacityError, QueryEndpointError
 from .graph_core import Graph, StatePartition, UpdateBatch, component_labels
 
@@ -136,22 +135,23 @@ class SuperGraph:
     nothing, so the count of one query is the difference before and after it.
     The activation-only engine also fills ``masks``, per component the mask
     of its members' dense off indices, which its queries AND with the index's
-    ``comp_adj``. The fully dynamic engine records the ``touched`` oracles it
-    pushed the batch's deactivations into, which rollback resets. Each engine
-    leaves the other's field empty.
+    ``comp_adj``. The fully dynamic engine fills ``reach``, per activated
+    vertex the ids of the surviving base components it touches, and
+    ``pushes``, the number of oracles it pushed the batch's deactivations
+    into. Each engine leaves the other's fields empty; no field is an oracle.
     """
 
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
     comp: dict[int, int]
     build_probes: int
-    touched: tuple[DecrementalOracle, ...] = field(default=(), compare=False, repr=False)
     masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    reach: dict[int, set[int]] = field(default_factory=dict, compare=False, repr=False)
+    pushes: int = field(default=0, compare=False)
     query_probes: int = field(default=0, compare=False)
 
 
-def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
-                     touched: tuple[DecrementalOracle, ...] = ()) -> SuperGraph:
+def build_supergraph(nodes, adjacent: Callable[[int, int], bool]) -> SuperGraph:
     """Probe every unordered pair exactly once (no short-circuit, so the
     probe counter is n*(n-1)/2 by construction), then label the bridge
     graph by a search from each unlabeled node in ascending order, which
@@ -187,7 +187,6 @@ def build_supergraph(nodes, adjacent: Callable[[int, int], bool], *,
         components=tuple(map(tuple, members)),
         comp=dict(zip(nodes, labels)),
         build_probes=probes,
-        touched=touched,
     )
 
 

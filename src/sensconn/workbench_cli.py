@@ -34,8 +34,8 @@ from . import verify as verify_lib
 ALGORITHMS = ("inc", "fd", "bf")
 # exhaustive verify enumerates 2^C(n,2) graphs x 2^n partitions: all 1,024
 # graphs take about 1 min at n = 5, all 32,768 about 2 h at n = 6 (2-vCPU x86
-# host)
-EXHAUSTIVE_N_MAX = 6
+# host), so n = 6 is refused before any graph is enumerated
+EXHAUSTIVE_N_MAX = 5
 # random verify checks every active pair of both engines and of the root
 # oracle against one search per component: one trial at n = 400 takes up to
 # about 0.25 s, at 800 up to 2 s and 80 MB (dense G(n, 0.6) trials, 2-vCPU
@@ -130,7 +130,7 @@ def cmd_run(args) -> int:
         counters.update(
             preprocess_oracle_count=s.oracle_count,
             preprocess_probes=s.base.costs.t_p,
-            update_delete_calls=len(sg.touched),
+            update_delete_calls=sg.pushes,
             update_pair_queries=sg.build_probes,
             query_calls_total=sg.query_probes,
             query_calls_max=most,
@@ -224,7 +224,7 @@ def cmd_bench(args) -> int:
                           file=sys.stderr)
                     return 1
                 sg = fd_update(s, (), batch)
-                pushes.append(len(sg.touched))
+                pushes.append(sg.pushes)
                 pair_counts.append(sg.build_probes)
                 picks = [(rng.choice(alive), rng.choice(alive)) for _ in range(args.queries)]
                 answers, most = _run_queries(picks, partial(fd_query, s, sg), sg)
@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the equivalence suites")
     ver.add_argument("--mode", choices=("exhaustive", "random"), default="random")
     ver.add_argument("--n-max", type=int, default=None,
-                     help=f"exhaustive: exact vertex count (default 5, at most {EXHAUSTIVE_N_MAX}; "
-                          "about 1 min at 5, about 2 h at 6); "
+                     help=f"exhaustive: exact vertex count (default and at most {EXHAUSTIVE_N_MAX}; "
+                          "about 1 min at 5); "
                           f"random: largest n (default 40, at most {RANDOM_N_MAX})")
     ver.add_argument("--trials", type=int, default=1000)
     ver.add_argument("--edge-prob", type=float, action="append",

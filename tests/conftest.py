@@ -66,6 +66,23 @@ def keeps_deletion(oracle_registry):
 
 
 @pytest.fixture
+def pushed(monkeypatch):
+    """Every oracle ``DecrementalOracle.delete_batch`` receives while the
+    test runs, in push order: for a fully dynamic update the base, then each
+    activated vertex's member, then each pair's. The list keeps them alive,
+    which no update does."""
+    pushed = []
+    push = DecrementalOracle.delete_batch
+
+    def recorded(o, vertices):
+        pushed.append(o)
+        push(o, vertices)
+
+    monkeypatch.setattr(DecrementalOracle, "delete_batch", recorded)
+    return pushed
+
+
+@pytest.fixture
 def rebuild_twin(oracle_registry):
     """Registers a second factory that is ``rebuild`` under another name,
     for tests that need two registered factories; returns its name."""

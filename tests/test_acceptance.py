@@ -113,7 +113,7 @@ def test_exact_counter_bounds(exhaustive_report, random_report):
         sg = incremental_update(idx, batch)
         assert sg.build_probes == size * (size - 1) // 2
         a = fd_update(s, [10, 11], batch)
-        assert len(a.touched) == 1 + size + size * (size - 1) // 2
+        assert a.pushes == 1 + size + size * (size - 1) // 2
         assert a.build_probes == size * (size - 1) // 2
         fd_rollback(s, a)
     total = suites["counters"].checked + random_report["counters"].checked

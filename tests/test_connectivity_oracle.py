@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensconn.connectivity_oracle as oracle_mod
-from sensconn.bits import iter_bits, mask_of
+from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.connectivity_oracle import (
     DecrementalOracle,
     Member,
@@ -358,6 +358,16 @@ class TestSharedLabeling:
         assert adjacent.query(0, 3) and adjacent.query(1, 2)
         assert not apart.query(1, 6) and apart.query(1, 0) and apart.query(3, 7) and not apart.query(0, 7)
         assert one.component(6) == one.component(7) < 0 <= one.component(0)
+        # an inactive hub 0 with 3,000 leaves, the even vertices 2..6000, all
+        # active but leaf 2; inactive 3 is not the hub's neighbour, and its one
+        # neighbour 6001 is no leaf. The edge test bisects the hub's adjacency.
+        g = Graph.from_edges(6002, [*((0, v) for v in range(2, 6001, 2)), (3, 6001)])
+        root = make_oracle("rebuild", g, all_bits(6002) & ~mask_of([0, 2, 3]))
+        reach = {x: root.reach(x) for x in (0, 2, 3)}
+        adjacent, apart = Member(root, (0, 2), reach), Member(root, (0, 3), reach)
+        assert len(reach[0]) == 2999 and reach[2] == set() and adjacent.joined and not apart.joined
+        assert adjacent.query(2, 6000) and adjacent.query(0, 2)
+        assert apart.query(3, 6001) and apart.query(4, 6000) and not apart.query(3, 4)
 
 
 class TestComponent:
@@ -447,7 +457,7 @@ class TestIdsOutsideTheGraph:
         s = build_fully_dynamic(root.graph, StatePartition.from_off(4, [2]), root.name)
         with pytest.raises(ContractViolation, match=f"^cannot activate {bad}: not an inactive vertex"):
             fd_update(s, [], [2, bad])
-        assert s.base.phase == "fresh" and s.reach == {} and s.session is None
+        assert s.base.phase == "fresh" and s.session is None
 
 
 class TestReachable:

@@ -2,6 +2,8 @@ import itertools
 import random
 import statistics
 import tracemalloc
+import weakref
+from dataclasses import fields
 
 import pytest
 
@@ -11,7 +13,7 @@ from sensconn.bits import all_bits, iter_bits, mask_of
 from sensconn.connectivity_oracle import DecrementalOracle, Member, make_oracle, oracle_names
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest
+from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest, reachable
 from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
@@ -34,14 +36,15 @@ class TestBuild:
         g, p = p5
         s = build_fully_dynamic(g, p)
         assert s.oracle_count == 2
-        assert s.reach == {} and s.session is None  # members are derived by the update that pushes them
+        assert s.session is None  # members are derived by the update that pushes them
+        assert [f.name for f in fields(s)] == ["partition", "factory", "base", "session"]
 
     def test_three_inactive_vertices(self):
         g = path_graph(6)
         p = StatePartition.from_off(6, [0, 2, 4])
         s = build_fully_dynamic(g, p)
         assert s.oracle_count == 7
-        assert s.reach == {} and s.session is None
+        assert s.session is None
 
     def test_all_active(self):
         g = path_graph(4)
@@ -68,7 +71,6 @@ class TestBuild:
         s = build_fully_dynamic(g, p)
         f = s.base._forest
         assert s.base.costs.t_p == g.n + 2 * g.m + len(f.low) + sum(map(len, f.mins)) > 0
-        assert s.reach == {}
 
 
 class TestUpdate:
@@ -78,7 +80,7 @@ class TestUpdate:
         a = fd_update(s, [], [2])
         assert tuple(a.comp) == (2,)
         assert a.edges == ()
-        assert len(a.touched) == 2
+        assert a.pushes == 2
         assert a.build_probes == 0
 
     def test_mixed_batch(self, mixed):
@@ -86,7 +88,7 @@ class TestUpdate:
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
         assert tuple(a.comp) == (5,)
-        assert len(a.touched) == 2
+        assert a.pushes == 2
 
     def test_bridge_dies_with_its_component(self):
         # inactive 3 and 4 share only the component {2}; deactivating 2
@@ -110,7 +112,7 @@ class TestUpdate:
         for size in range(7):
             batch = list(range(size))
             a = fd_update(s, [8, 9], batch)
-            assert len(a.touched) == 1 + size + pairs_of(size)
+            assert a.pushes == 1 + size + pairs_of(size)
             assert a.build_probes == pairs_of(size)
             assert a.query_probes == 0  # pair queries count in build_probes
             fd_rollback(s, a)
@@ -145,7 +147,7 @@ class TestUpdate:
             countdown[0] = position
             with pytest.raises(InjectedFault, match="rebuild" if position == 1 else "member"):
                 fd_update(s, [8], [0, 5, 6])
-            assert s.session is None and s.reach == {}
+            assert s.session is None
             assert s.base.phase == "fresh" and s.base.deleted == frozenset() and s.base._moved == {}
             a = fd_update(s, [8], [0, 5, 6])
             assert all(fd_query(s, a, u, v) == brute_connected(g, active, u, v) for u in active for v in active)
@@ -244,7 +246,7 @@ class TestLabelingsPerBatch:
         labelings.clear()
         a = fd_update(s, [], up)
         assert labelings == []
-        assert len(a.touched) == 1 + len(up) + pairs_of(len(up))
+        assert a.pushes == 1 + len(up) + pairs_of(len(up))
         fd_rollback(s, a)
 
 
@@ -254,14 +256,14 @@ class TestPushCost:
     t_u counts every entry it records as well as the batch and the adjacency
     entries, low points and table entries it reads."""
 
-    def test_a_cycle_on_a_long_path_copies_no_labels(self):
+    def test_a_cycle_on_a_long_path_copies_no_labels(self, pushed):
         n = 200_000
         g = path_graph(n)
         p = StatePartition.from_off(n, [100, n // 2, n - 100])
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [1_000, n - 1_000], p.off_vertices)
-        assert len(a.touched) == 1 + 3 + 3
-        assert all(o.costs.t_u < 100 for o in a.touched[1:])
+        assert a.pushes == len(pushed) == 1 + 3 + 3
+        assert all(o.costs.t_u < 100 for o in pushed[1:])
         assert fd_query(s, a, 0, 999) and fd_query(s, a, 1_001, n - 1_001)  # through the activated vertices
         assert not fd_query(s, a, 999, 1_001)
         fd_rollback(s, a)
@@ -351,7 +353,7 @@ class TestPushCost:
         assert max(medians) <= 2, medians
         assert maxima[-1] <= 1.5 * maxima[0], maxima
 
-    def test_member_pushes_count_each_reach_read_once(self):
+    def test_member_pushes_count_each_reach_read_once(self, pushed):
         # the members' t_u sums to the activated vertices' degrees: each
         # reach set is read once, for its single member, and pairs read none
         rng = random.Random(9)
@@ -361,9 +363,10 @@ class TestPushCost:
         for _ in range(20):
             up = rng.sample(p.off_vertices, rng.randint(0, 6))
             down = rng.sample(sorted(iter_bits(p.on_mask)), rng.randint(0, 3))
+            pushed.clear()
             a = fd_update(s, down, up)
-            assert sum(o.costs.t_u for o in a.touched[1:]) == sum(len(g.adj[x]) for x in up)
-            assert all(o.costs.t_u == 0 for o in a.touched[1 + len(up):])
+            assert sum(o.costs.t_u for o in pushed[1:]) == sum(len(g.adj[x]) for x in up)
+            assert all(o.costs.t_u == 0 for o in pushed[1 + len(up):])
             fd_rollback(s, a)
 
     def test_an_engine_update_checks_its_batch_once(self, monkeypatch):
@@ -376,7 +379,7 @@ class TestPushCost:
         has = DecrementalOracle._has
         monkeypatch.setattr(DecrementalOracle, "_has", lambda o, v: checked.append(v) or has(o, v))
         a = fd_update(s, down, up)
-        assert len(a.touched) == 1 + 3 + 3
+        assert a.pushes == 1 + 3 + 3
         assert sorted(checked) == down  # the root's check alone; a member checks its batch is the root's
         fd_rollback(s, a)
 
@@ -384,7 +387,7 @@ class TestPushCost:
 class TestBuildOnFirstPush:
     """Preprocessing builds only the root, the one oracle a structure ever
     builds. Each batch derives its members inside fd_update, before it
-    pushes them, and the structure keeps none of them after rollback."""
+    pushes them, and none of them outlives that update."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -406,7 +409,7 @@ class TestBuildOnFirstPush:
         assert built == [s.base]
         assert s.oracle_count == 1 + 1_000 + pairs_of(1_000)
 
-    def test_a_batch_derives_its_members_and_keeps_none(self, built):
+    def test_a_batch_derives_its_members_and_keeps_none(self, built, pushed):
         g, p = TestLabelingsPerBatch.instance()
         s = build_fully_dynamic(g, p)
         built.clear()
@@ -414,19 +417,42 @@ class TestBuildOnFirstPush:
         k = len(up)
         a = fd_update(s, [1, 2], up)
         assert built == []
-        assert [o.extras for o in a.touched[1:]] == [(x,) for x in up] + list(itertools.combinations(up, 2))
-        assert all(type(o) is Member and o.root is s.base for o in a.touched[1:])
-        assert sorted(s.reach) == up and len(a.touched) == 1 + k + pairs_of(k)
+        assert pushed[0] is s.base
+        assert [o.extras for o in pushed[1:]] == [(x,) for x in up] + list(itertools.combinations(up, 2))
+        assert all(type(o) is Member and o.root is s.base for o in pushed[1:])
+        assert sorted(a.reach) == up and a.pushes == len(pushed) == 1 + k + pairs_of(k)
         active = (set(iter_bits(p.on_mask)) - {1, 2}) | set(up)
         for u in active:
             for v in active:
                 assert fd_query(s, a, u, v) == brute_connected(g, active, u, v)
         fd_rollback(s, a)
-        assert s.reach == {} and s.session is None
+        assert s.session is None
+        first = pushed[1:]
+        pushed.clear()
         b = fd_update(s, [1, 2], up)
-        assert set(map(id, b.touched[1:])).isdisjoint(map(id, a.touched[1:]))  # new views of the new batch
+        assert set(map(id, pushed[1:])).isdisjoint(map(id, first))  # new views of the new batch
         fd_rollback(s, b)
         assert built == []
+
+    def test_no_member_outlives_its_update(self, three_hubs, monkeypatch):
+        refs = []
+        push = DecrementalOracle.delete_batch
+
+        def recorded(o, vertices):
+            refs.append(weakref.ref(o))
+            push(o, vertices)
+
+        monkeypatch.setattr(DecrementalOracle, "delete_batch", recorded)
+        g, p = three_hubs
+        s = build_fully_dynamic(g, p)
+        a = fd_update(s, [8], [0, 5, 6])
+        assert a.pushes == len(refs) == 1 + 3 + 3 and refs[0]() is s.base
+        assert [r() for r in refs[1:]] == [None] * 6  # every member died with fd_update's frame
+        alive = (p.on_mask & ~mask_of([8])) | mask_of([0, 5, 6])
+        for u in iter_bits(alive):
+            for v in iter_bits(alive):
+                assert fd_query(s, a, u, v) == (v in reachable(g, alive, u))
+        fd_rollback(s, a)
 
     @pytest.mark.parametrize("factory", oracle_names())
     def test_a_member_build_that_fails_leaves_the_structure_usable(self, factory, three_hubs, monkeypatch):
@@ -447,10 +473,10 @@ class TestBuildOnFirstPush:
         s = build_fully_dynamic(g, p, factory)
         with pytest.raises(InjectedFault):
             fd_update(s, [8], [0, 5, 6])  # after the base's push, the second member fails
-        assert s.session is None and s.reach == {}
+        assert s.session is None
         assert s.base.phase == "fresh" and not s.base.deleted
         a = fd_update(s, [8], [0, 5, 6])
-        assert len(a.touched) == 1 + 3 + 3
+        assert a.pushes == 1 + 3 + 3
         active = (set(iter_bits(p.on_mask)) - {8}) | {0, 5, 6}
         for u in active:
             for v in active:
@@ -464,14 +490,14 @@ class TestInactiveHub:
     components: its reach set still costs O(deg) per update, read once for
     its single member and shared by its pairs, not O(deg^2)."""
 
-    def test_star_with_an_inactive_centre(self):
+    def test_star_with_an_inactive_centre(self, pushed):
         leaves = 3000
         g = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
         p = StatePartition.from_off(leaves + 1, [0, 1])
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [0, 1])
-        hub, leaf, pair = a.touched[1:]
-        assert hub.extras == (0,) and len(s.reach[0]) == leaves - 2
+        hub, leaf, pair = pushed[1:]
+        assert hub.extras == (0,) and len(a.reach[0]) == leaves - 2
         assert 0 < hub.costs.t_u <= 3 * leaves
         assert leaf.costs.t_u == 1 and pair.costs.t_u == 0  # the pair reuses both reach sets
         assert fd_query(s, a, 1, leaves) is True
@@ -547,12 +573,12 @@ class TestQuery:
         g, p = three_hubs
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [8], [0, 5, 6])
-        filled = {x: set(r) for x, r in s.reach.items()}
+        filled = {x: set(r) for x, r in a.reach.items()}
         active = (set(iter_bits(p.on_mask)) - {8}) | {0, 5, 6}
         for u in active:
             for v in active:
                 fd_query(s, a, u, v)
-        assert s.reach == filled and sorted(s.reach) == [0, 5, 6]
+        assert a.reach == filled and sorted(a.reach) == [0, 5, 6]
         fd_rollback(s, a)
 
     def test_stale_handle_rejected(self, p5):
@@ -672,25 +698,25 @@ class TestOneCheckedCallPerQuery:
 
 
 class TestRecord:
-    def test_fd_record_holds_the_batch(self, three_hubs):
+    def test_fd_record_holds_the_batch(self, three_hubs, pushed):
         g, p = three_hubs
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [8], [6, 0, 5])
         assert s.base.deleted == frozenset({8})
-        assert a.touched[0] is s.base
-        assert [o.extras for o in a.touched[1:]] == [(0,), (5,), (6,), (0, 5), (0, 6), (5, 6)]
-        assert all(o.deleted is s.base.deleted for o in a.touched)
-        assert s.reach == {0: {s.base._component(7)}, 5: set(), 6: {s.base._component(7)}}
+        assert pushed[0] is s.base and a.pushes == len(pushed)
+        assert [o.extras for o in pushed[1:]] == [(0,), (5,), (6,), (0, 5), (0, 6), (5, 6)]
+        assert all(o.deleted is s.base.deleted for o in pushed)
+        assert a.reach == {0: {s.base._component(7)}, 5: set(), 6: {s.base._component(7)}}
         assert a.components == ((0, 6), (5,))
         assert a.comp == {0: 0, 5: 1, 6: 0}
         fd_rollback(s, a)
-        assert s.base.phase == "fresh" and s.base.deleted == frozenset() and s.reach == {}
+        assert s.base.phase == "fresh" and s.base.deleted == frozenset() and s.session is None
 
     def test_activation_only_batch_matches_the_incremental_record(self, three_hubs):
         g, p = three_hubs
         a = fd_update(build_fully_dynamic(g, p), [], [6, 5, 4, 3, 2, 1, 0])
         assert a == incremental_update(build_incremental(g, p), range(7))
-        assert len(a.touched) == 1 + 7 + pairs_of(7)
+        assert a.pushes == 1 + 7 + pairs_of(7)
 
 
 class TestRollback:
@@ -707,11 +733,11 @@ class TestRollback:
         g, p = mixed
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [2], [5])
-        assert len(a.touched) == 1 + 1 + 0  # 1 + |I| + C(|I|, 2) pushes for I = {5}
-        assert list(s.reach) == [5]
+        assert a.pushes == 1 + 1 + 0  # 1 + |I| + C(|I|, 2) pushes for I = {5}
+        assert list(a.reach) == [5]
         fd_rollback(s, a)
         assert s.base.phase == "fresh" and s.base.deleted == frozenset()
-        assert s.reach == {} and s.session is None
+        assert s.session is None
 
     def test_empty_update_after_rollback_matches_initial_state(self, p5):
         g, p = p5
@@ -767,7 +793,7 @@ class TestDoubling:
         with pytest.raises(CapacityError):
             fam.dispatch_update([0, 1, 3], [])
         s = fam.structure_for(2)
-        assert s.session is None and s.reach == {}
+        assert s.session is None
         assert s.base.phase == "fresh" and not s.base.deleted
 
     def test_dispatch_reports_a_vertex_on_both_sides(self):

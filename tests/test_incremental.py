@@ -200,7 +200,7 @@ class TestRecord:
     def test_no_oracles(self, p5):
         g, p = p5
         sg = incremental_update(build_incremental(g, p), [2])
-        assert sg.touched == ()
+        assert sg.reach == {} and sg.pushes == 0
 
 
 class TestQuery:

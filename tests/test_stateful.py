@@ -78,7 +78,7 @@ def machine_for(factory, countdown):
             down, up = self.batch(data)
             self.session = fd_update(self.s, down, up)
             k = len(up)
-            assert len(self.session.touched) == 1 + k + k * (k - 1) // 2
+            assert self.session.pushes == 1 + k + k * (k - 1) // 2
             assert self.session.query_probes == 0
             self.active = (set(iter_bits(self.p.on_mask)) - set(down)) | set(up)
 
@@ -92,7 +92,7 @@ def machine_for(factory, countdown):
             with pytest.raises(InjectedFault):
                 fd_update(self.s, down, up)
             assert countdown.left is None
-            assert self.s.session is None and self.s.reach == {}
+            assert self.s.session is None
             assert self.s.base.phase == "fresh" and self.s.base.deleted == frozenset()
 
         @precondition(lambda self: self.session is not None)
@@ -125,7 +125,7 @@ def machine_for(factory, countdown):
         @invariant()
         def idle_means_fresh(self):
             if self.session is None:
-                assert self.s.base.phase == "fresh" and self.s.reach == {}
+                assert self.s.base.phase == "fresh" and self.s.session is None
 
     return FullyDynamicMachine
 
