@@ -15,7 +15,8 @@ Query file: vertex ids read in pairs ``u v``; an odd count is an error.
 All three formats are whitespace-separated tokens in any line layout, so
 ``+1 -2\n+3`` is one update and ``0\n4 1\n3`` the queries (0, 4), (1, 3);
 a line break only ends a ``#`` comment and numbers errors. Every number is
-written in ASCII digits only.
+written in ASCII digits only. A text is split into tokens once and each
+section converted in bulk; its lines are walked only to name a fault.
 """
 
 from __future__ import annotations
@@ -498,27 +499,64 @@ def parse_int(tok: str, what: str, lineno: int | None = None) -> int:
         raise ParseError(f"expected {what}, got a number of {len(tok)} digits", lineno) from None
 
 
-def _tokens(text: str) -> tuple[list[str], list[int]]:
-    """The tokens in reading order and, index for index, their line numbers."""
-    toks: list[str] = []
-    lines: list[int] = []
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tokens of each line that holds a token and is not
+    a ``#`` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if parts and not parts[0].startswith("#"):
-            toks += parts
-            lines += [lineno] * len(parts)
-    return toks, lines
+            yield lineno, parts
 
 
-def _past_end(lines: list[int], what: str) -> ParseError:
-    """The error for input that ends early; it names the last content line."""
-    return ParseError(f"unexpected end of input, expected {what}", lines[-1] if lines else 1)
+def _tokens(text: str) -> list[str]:
+    """The tokens in reading order. Every line boundary is whitespace to
+    ``str.split()``, so a text without ``#`` splits whole."""
+    if "#" not in text:
+        return text.split()
+    return [tok for _, parts in _rows(text) for tok in parts]
 
 
-def _int_at(toks: list[str], lines: list[int], i: int, what: str) -> int:
-    if i >= len(toks):
-        raise _past_end(lines, what)
-    return parse_int(toks[i], what, lines[i])
+def _line(text: str, i: int) -> int:
+    """The line of ``_tokens(text)[i]``, or 1 when the text holds no token;
+    walked only to name a fault."""
+    for lineno, parts in _rows(text):
+        i -= len(parts)
+        if i < 0:
+            return lineno
+    return 1
+
+
+def _ids(
+    text: str, toks: list[str], start: int, stop: int, what: str, n: int | None = None, outside="", repeated=""
+) -> list[int]:
+    """The values of ``toks[start:stop]``, each ASCII digits only, below
+    ``n`` if it is given and, if a ``repeated`` message is, pairwise
+    distinct. The section is converted in bulk; only if a check fails is it
+    read token by token, raising ParseError at its first fault or at the end
+    of input. ``outside`` and ``repeated`` are formatted with ``v`` and ``n``."""
+    sec = toks[start:stop]
+    joined = "".join(sec)  # each token is non-empty
+    if stop <= len(toks) and (not sec or joined.isascii() and joined.isdigit()):
+        try:
+            ids = list(map(int, sec))
+        except ValueError:  # more digits than int() reads
+            pass
+        else:
+            if (n is None or max(ids, default=-1) < n) and not (repeated and len(set(ids)) < len(ids)):
+                return ids
+    seen: set[int] = set()
+    for i in range(start, min(stop, len(toks))):
+        try:
+            v = parse_int(toks[i], what)
+            if n is not None and v >= n:
+                raise ParseError(outside.format(v=v, n=n))
+            if v in seen:
+                raise ParseError(repeated.format(v=v, n=n))
+        except ParseError as e:
+            raise ParseError(str(e), _line(text, i)) from None
+        if repeated:
+            seen.add(v)
+    raise ParseError(f"unexpected end of input, expected {what}", _line(text, len(toks) - 1))
 
 
 def load_graph(text: str) -> tuple[Graph, StatePartition]:
@@ -526,81 +564,33 @@ def load_graph(text: str) -> tuple[Graph, StatePartition]:
 
     Duplicate edges collapse, self loops drop. Malformed headers, a vertex
     count above MAX_VERTICES, ids >= n and unknown OFF vertices raise
-    ParseError naming the offending line. Tokens are checked as they are
-    read, so of several faults the first in reading order is reported.
-
-    Input without a comment is first read a section at a time, which is
-    several times faster per token than the line-numbering reader; on any
-    fault that reader reads the input again and reports it.
+    ParseError naming the offending line. Each section is checked before
+    the next is read, so of several faults the first in reading order is
+    reported.
     """
-    n, ids, off = ("#" not in text and _clean_sections(text)) or _checked_sections(text)
+    n, ids, off = _sections(text)  # the token list is gone before the graph is built
     return Graph.from_edges(n, zip(ids[::2], ids[1::2])), StatePartition.from_off(n, off)
 
 
-def _digits(toks: list[str]) -> list[int] | None:
-    """The values of ``toks`` if each is ASCII digits only and short enough
-    for ``int()``, else None."""
-    joined = "".join(toks)
-    if toks and not (joined.isascii() and joined.isdigit()):
-        return None
-    try:
-        return list(map(int, toks))
-    except ValueError:  # more digits than int() reads
-        return None
-
-
-def _clean_sections(text: str) -> tuple[int, list[int], list[int]] | None:
-    """The vertex count, edge endpoints and OFF ids of a comment-free input
-    that has no fault, checked one section at a time; None otherwise."""
-    toks = text.split()  # with no comment, the tokens of every line in order
-    head = _digits(toks[:2])
-    if head is None or len(head) < 2:
-        return None
-    n, m = head
-    off_at = 2 + 2 * m
-    if n > MAX_VERTICES or len(toks) < off_at + 2 or toks[off_at] != "OFF":
-        return None
-    ids = _digits(toks[2:off_at])
-    k = _digits(toks[off_at + 1 : off_at + 2])
-    off = _digits(toks[off_at + 2 :])
-    if ids is None or off is None or k != [len(off)]:
-        return None
-    if max(ids, default=-1) >= n or max(off, default=-1) >= n or len(set(off)) < len(off):
-        return None
-    return n, ids, off
-
-
-def _checked_sections(text: str) -> tuple[int, list[int], set[int]]:
-    """load_graph's sections read token by token, each checked as it is
-    read; raises ParseError naming the line of the first fault."""
-    toks, lines = _tokens(text)
-    n = _int_at(toks, lines, 0, "vertex count")
+def _sections(text: str) -> tuple[int, list[int], list[int]]:
+    """The vertex count, edge endpoints and OFF ids of a graph file."""
+    toks = _tokens(text)
+    (n,) = _ids(text, toks, 0, 1, "vertex count")
     if n > MAX_VERTICES:
-        raise ParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}", lines[0])
-    off_at = 2 + 2 * _int_at(toks, lines, 1, "edge count")
-    ids = []
-    for i in range(2, min(off_at, len(toks))):
-        x = parse_int(toks[i], "edge endpoint", lines[i])
-        if x >= n:
-            raise ParseError(f"vertex id {x} outside [0, {n})", lines[i])
-        ids.append(x)
-    if off_at >= len(toks):
-        raise _past_end(lines, "edge endpoint" if off_at > len(toks) else "'OFF' header")
+        raise ParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}", _line(text, 0))
+    (m,) = _ids(text, toks, 1, 2, "edge count")
+    off_at = 2 + 2 * m
+    ids = _ids(text, toks, 2, off_at, "edge endpoint", n, "vertex id {v} outside [0, {n})")
+    if off_at == len(toks):
+        raise ParseError("unexpected end of input, expected 'OFF' header", _line(text, off_at - 1))
     if toks[off_at] != "OFF":
-        raise ParseError(f"expected 'OFF', got {toks[off_at]!r}", lines[off_at])
-    stop = off_at + 2 + _int_at(toks, lines, off_at + 1, "inactive vertex count")
-    off: set[int] = set()
-    for i in range(off_at + 2, min(stop, len(toks))):
-        v = parse_int(toks[i], "inactive vertex id", lines[i])
-        if v >= n:
-            raise ParseError(f"unknown vertex {v} in OFF list", lines[i])
-        if v in off:
-            raise ParseError(f"duplicate vertex {v} in OFF list", lines[i])
-        off.add(v)
-    if stop > len(toks):
-        raise _past_end(lines, "inactive vertex id")
+        raise ParseError(f"expected 'OFF', got {toks[off_at]!r}", _line(text, off_at))
+    (k,) = _ids(text, toks, off_at + 1, off_at + 2, "inactive vertex count")
+    stop = off_at + 2 + k
+    off_msgs = "unknown vertex {v} in OFF list", "duplicate vertex {v} in OFF list"
+    off = _ids(text, toks, off_at + 2, stop, "inactive vertex id", n, *off_msgs)
     if stop < len(toks):
-        raise ParseError(f"unexpected trailing input {toks[stop]!r}", lines[stop])
+        raise ParseError(f"unexpected trailing input {toks[stop]!r}", _line(text, stop))
     return n, ids, off
 
 
@@ -614,19 +604,23 @@ def dump_graph(g: Graph, p: StatePartition) -> str:
 
 
 def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
-    """Parse an update file into (deactivate, activate) vertex lists."""
+    """Parse an update file into (deactivate, activate) vertex lists. A
+    batch is small, so each token is checked on its own, in reading order."""
     deactivate: list[int] = []
     activate: list[int] = []
     seen: set[int] = set()
-    for tok, lineno in zip(*_tokens(text)):
-        sign = tok[0]
-        if sign not in "+-":
-            raise ParseError(f"expected '+v' or '-v', got {tok!r}", lineno)
-        v = parse_int(tok[1:], "vertex id after the sign", lineno)
-        if not 0 <= v < n:
-            raise ParseError(f"vertex id {v} outside [0, {n})", lineno)
-        if v in seen:
-            raise ParseError(f"vertex {v} flipped more than once in the batch", lineno)
+    for i, tok in enumerate(_tokens(text)):
+        try:
+            sign = tok[0]
+            if sign not in "+-":
+                raise ParseError(f"expected '+v' or '-v', got {tok!r}")
+            v = parse_int(tok[1:], "vertex id after the sign")
+            if v >= n:
+                raise ParseError(f"vertex id {v} outside [0, {n})")
+            if v in seen:
+                raise ParseError(f"vertex {v} flipped more than once in the batch")
+        except ParseError as e:
+            raise ParseError(str(e), _line(text, i)) from None
         seen.add(v)
         (activate if sign == "+" else deactivate).append(v)
     return deactivate, activate
@@ -637,8 +631,9 @@ def parse_query_text(text: str) -> list[tuple[int, int]]:
     checked per query at run time so every engine reports illegal endpoints
     the same way. Each token is read before the count's parity is checked,
     so of several faults the first in reading order is reported."""
-    toks, lines = _tokens(text)
-    ids = [parse_int(tok, "vertex id", lineno) for tok, lineno in zip(toks, lines)]
+    toks = _tokens(text)
+    ids = _ids(text, toks, 0, len(toks), "vertex id")
+    del toks  # freed before the pairs are built, about 27 B per token less at the peak
     if len(ids) % 2 != 0:
-        raise ParseError("dangling query endpoint", lines[-1])
+        raise ParseError("dangling query endpoint", _line(text, len(ids) - 1))
     return list(zip(ids[::2], ids[1::2]))

@@ -130,8 +130,9 @@ class TestLoadGraph:
     @given(graphs_with_partition(max_n=12), st.data())
     def test_corrupted_token_names_its_line(self, gp, data):
         """One token of a dumped file is corrupted: a non-digit, an id out of
-        range, a repeated OFF id or a deleted token. The error names the line
-        of the first token that cannot be read in its place."""
+        range, a repeated OFF id or a deleted token, and comment and blank
+        lines are inserted before, between and after the rows. The error
+        names the line of the first token that cannot be read in its place."""
         g, p = gp
         rows = [line.split() for line in dump_graph(g, p).splitlines()]
         where = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
@@ -161,9 +162,15 @@ class TestLoadGraph:
             faulty = where[i]
             r, c = faulty
             rows[r][c] = tok
+        filler = st.lists(st.sampled_from(["", "# c", "  # 0 1", "#OFF 9", "\t"]), max_size=2)
+        fills = data.draw(st.lists(filler, min_size=len(rows) + 1, max_size=len(rows) + 1))
+        lines, lineno = fills[0], []  # lineno[r]: the line that row r lands on
+        for row, fill in zip(rows, fills[1:]):
+            lineno.append(len(lines) + 1)
+            lines = lines + [" ".join(row)] + fill
         with pytest.raises(ParseError) as exc:
-            load_graph("\n".join(" ".join(row) for row in rows) + "\n")
-        assert exc.value.lineno == faulty[0] + 1, (kind, str(exc.value))
+            load_graph("\n".join(lines) + "\n")
+        assert exc.value.lineno == lineno[faulty[0]], (kind, str(exc.value))
 
     def test_memory_per_token_is_bounded(self):
         # one (token, line) tuple per token peaks near 337 B per token, two
@@ -177,6 +184,19 @@ class TestLoadGraph:
         finally:
             tracemalloc.stop()
         assert peak / len(text.split()) < 300
+
+    def test_query_memory_per_token_is_bounded(self):
+        # a line number per token peaked near 151 B per token (Python 3.12,
+        # 3.13) and 159 (3.10, 3.11); without it near 102 and 110
+        rng = random.Random(0)
+        text = "".join(f"{rng.randrange(20_000)} {rng.randrange(20_000)}\n" for _ in range(50_000))
+        tracemalloc.start()
+        try:
+            parse_query_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 100_000 < 145
 
     def test_roundtrip_fixture(self, p5):
         g, p = p5
@@ -521,6 +541,33 @@ class TestUpdateAndQueryFiles:
     def test_update_double_flip_rejected(self):
         with pytest.raises(ParseError, match="more than once"):
             parse_update_text("+2\n-2\n", n=5)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # each token's sign, id, range and repeat are checked before the next token
+            ("+9 \u00b2 -2", "line 1: vertex id 9 outside [0, 5)"),
+            ("+1 ++1 x", "line 1: expected vertex id after the sign, got '+1'"),
+            ("+1\n# c\n-1 x", "line 3: vertex 1 flipped more than once in the batch"),
+            ("-3 +\n+9", "line 1: expected vertex id after the sign, got ''"),
+        ],
+    )
+    def test_update_first_fault_in_reading_order_is_reported(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_update_text(text, 5)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n# c\n2 x\n3", "line 3: expected vertex id, got 'x'"),
+            ("# a\n\n0 1\n2\n", "line 4: dangling query endpoint"),
+        ],
+    )
+    def test_query_fault_names_its_line_past_comments(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_query_text(text)
+        assert str(exc.value) == message
 
     def test_query_pairs(self):
         assert parse_query_text("0 4\n1 3\n") == [(0, 4), (1, 3)]
