@@ -49,8 +49,8 @@ class DecrementalOracle(abc.ABC):
     fresh; ``delete_batch`` may be called exactly once per cycle, after which
     queries see the survivors; ``reset`` rolls back to the fresh state.
     Queries are legal in either phase. Query endpoints and deleted vertices
-    must lie in ``active``, which the oracle holds as its ``mask`` and as the
-    flag string ``on``.
+    must lie in ``active``, an int mask that the oracle holds only as the flag
+    string ``on`` (``active_flags``).
 
     A factory implements ``_preprocess``, ``_apply_delete``, ``_apply_reset``
     and one unchecked read, ``_component(v)``: a non-negative int id of
@@ -76,8 +76,7 @@ class DecrementalOracle(abc.ABC):
 
     def __init__(self, graph, active: int | None = None):
         self.graph = graph
-        self.mask = all_bits(graph.n) if active is None else active
-        self.on = active_flags(graph.n, self.mask)
+        self.on = active_flags(graph.n, all_bits(graph.n) if active is None else active)
         self.costs = OracleCosts()
         self._preprocess()
 
@@ -249,7 +248,7 @@ class RebuildOracle(DecrementalOracle):
 
     def _preprocess(self):
         g = self.graph
-        self._forest = dfs_forest(g, self.mask)
+        self._forest = dfs_forest(g, self.on)
         # the range-minimum table reads each low point once and writes each entry once
         lows = len(self._forest.low) + sum(map(len, self._forest.mins))
         self.costs.t_p += g.n + 2 * g.m + lows

@@ -47,7 +47,7 @@ def keeps_deletion(oracle_registry):
         name = KEEPS_DELETION
 
         def _preprocess(self):
-            self._alive = self.mask
+            self._alive = mask_of(v for v, c in enumerate(self.on) if c == "1")
 
         def _apply_delete(self, vertices):
             self._alive ^= mask_of(vertices)

@@ -9,11 +9,11 @@ import pytest
 
 import sensconn.connectivity_oracle as oracle_mod
 import sensconn.graph_core as graph_core
-from sensconn.bits import all_bits, iter_bits, mask_of
+from sensconn.bits import iter_bits, mask_of
 from sensconn.connectivity_oracle import DecrementalOracle, Member, make_oracle, oracle_names
 from sensconn.errors import CapacityError, ContractViolation, PhaseError, QueryEndpointError
 from sensconn.generators import gnp_graph, path_graph
-from sensconn.graph_core import Graph, StatePartition, component_labels, dfs_forest, reachable
+from sensconn.graph_core import Graph, StatePartition, active_flags, component_labels, dfs_forest, reachable
 from sensconn.fully_dynamic_sensitivity import (
     build_doubling,
     build_fully_dynamic,
@@ -190,13 +190,13 @@ class TestLabelingsPerBatch:
 
     @pytest.fixture
     def labelings(self, monkeypatch):
-        """The active masks of the labelings any oracle makes, the root's
-        depth-first forest included."""
+        """The active flag strings of the labelings any oracle makes, the
+        root's depth-first forest included."""
         calls = []
 
-        def counted(g, mask):
-            calls.append(mask)
-            return dfs_forest(g, mask)
+        def counted(g, on):
+            calls.append(on)
+            return dfs_forest(g, on)
 
         monkeypatch.setattr(oracle_mod, "dfs_forest", counted)
         return calls
@@ -211,7 +211,7 @@ class TestLabelingsPerBatch:
         g, p = self.instance()
         s = build_fully_dynamic(g, p)
         assert s.oracle_count == 1 + 6 + 15
-        assert labelings == [p.on_mask]
+        assert labelings == [active_flags(g.n, p.on_mask)]
         build_doubling(g, p, 4)
         assert len(labelings) == 2
 
@@ -232,7 +232,7 @@ class TestLabelingsPerBatch:
         n = 20_000
         s = build_fully_dynamic(path_graph(n), StatePartition.from_off(n, []))
         a = fd_update(s, [5], [])
-        assert labelings == [all_bits(n)]  # the build's, none for the update
+        assert labelings == ["1" * n]  # the build's, none for the update
         assert s.base.costs.t_u <= 40
         assert fd_query(s, a, 0, 4) is True
         assert fd_query(s, a, 4, 6) is False
@@ -269,7 +269,7 @@ class TestPushCost:
         fd_rollback(s, a)
         assert s.base._moved == {}
         assert s.base._labels is s.base._forest.labels
-        assert s.base._labels == dfs_forest(g, p.on_mask).labels
+        assert s.base._labels == dfs_forest(g, active_flags(g.n, p.on_mask)).labels
 
     @pytest.fixture(scope="class")
     def random_structures(self):

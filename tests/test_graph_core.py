@@ -7,7 +7,7 @@ import statistics
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from sensconn.bits import all_bits, iter_bits, mask_of
@@ -19,6 +19,7 @@ from sensconn.graph_core import (
     Graph,
     StatePartition,
     UpdateBatch,
+    active_flags,
     component_labels,
     dfs_forest,
     dump_graph,
@@ -173,8 +174,9 @@ class TestLoadGraph:
         assert exc.value.lineno == lineno[faulty[0]], (kind, str(exc.value))
 
     def test_memory_per_token_is_bounded(self):
-        # one (token, line) tuple per token peaks near 337 B per token, two
-        # flat lists, one of tokens and one of lines, near 269
+        # the token list and the ints read from it set the peak, near 102-110
+        # B per token (Python 3.10-3.13); a set per vertex in the graph build
+        # set it near 185
         n = 50_000
         text = dump_graph(path_graph(n), StatePartition.from_off(n, []))
         tracemalloc.start()
@@ -183,7 +185,7 @@ class TestLoadGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(text.split()) < 300
+        assert peak / len(text.split()) < 140
 
     def test_query_memory_per_token_is_bounded(self):
         # a line number per token peaked near 151 B per token (Python 3.12,
@@ -209,6 +211,70 @@ class TestLoadGraph:
         g2, p2 = load_graph(text)
         assert (g2, p2) == (g, p)
         assert dump_graph(g2, p2) == text
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and an edge list over it with duplicates in both
+    orientations and self loops, which from_edges must drop."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=30))
+    if edges:
+        again = draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=10))
+        edges += [(v, u) if flip else (u, v) for (u, v), flip in again]
+    edges += [(v, v) for v in draw(st.lists(ends, max_size=3))]
+    return n, draw(st.permutations(edges))
+
+
+class TestFromEdges:
+    """Graph.from_edges against a set per vertex: ``adj[v]`` is v's distinct
+    neighbours other than v, ascending, as a tuple, and m counts the
+    distinct edges."""
+
+    @staticmethod
+    def reference(n, edges):
+        nbr = [set() for _ in range(n)]
+        for u, v in edges:
+            if u != v:
+                nbr[u].add(v)
+                nbr[v].add(u)
+        return tuple(tuple(sorted(s)) for s in nbr), sum(map(len, nbr)) // 2
+
+    @seed(29)
+    @settings(max_examples=300)
+    @given(edge_lists(), st.booleans())
+    @example((0, []), False)
+    @example((1, [(0, 0), (0, 0)]), True)
+    @example((5, [(3, 1), (1, 3), (3, 1), (2, 2), (1, 0)]), True)  # 2 and 4 isolated
+    def test_matches_a_set_per_vertex(self, case, as_generator):
+        n, edges = case
+        g = Graph.from_edges(n, iter(edges) if as_generator else edges)
+        adj, m = self.reference(n, edges)
+        assert (g.n, g.m, g.adj) == (n, m, adj)
+        assert type(g.adj) is tuple and all(type(row) is tuple for row in g.adj)
+
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 2), (1, -1), (3, 3)])
+    def test_an_endpoint_outside_the_range_is_refused(self, edge):
+        u, v = edge
+        with pytest.raises(ContractViolation, match=rf"^edge \({u}, {v}\) has an endpoint outside \[0, 3\)$"):
+            Graph.from_edges(3, [(0, 1), (1, 0), edge, (1, 2)])
+
+    def test_memory_per_vertex_is_bounded(self):
+        # a set per vertex, held while the rows were made, peaked near 290 B
+        # per vertex on this path; lists freed row by row peak near 97
+        # (Python 3.10-3.13)
+        n = 50_000
+        edges = [(i, i + 1) for i in range(n - 1)]
+        tracemalloc.start()
+        try:
+            Graph.from_edges(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 150
 
 
 def small_instances(n_max):
@@ -278,7 +344,7 @@ class TestDfsForest:
 
     @staticmethod
     def check(g, active_bits, intervals=None):
-        f = dfs_forest(g, active_bits)
+        f = dfs_forest(g, active_flags(g.n, active_bits))
         assert (f.labels, f.count) == component_labels(g, active_bits)
         active = list(iter_bits(active_bits))
         pre, end = f.pre, f.end
@@ -321,7 +387,7 @@ class TestDfsForest:
         # 300 positions fill 37 whole blocks, so every row of the table is read
         rng = random.Random(300)
         g = Graph.from_edges(300, ((rng.randrange(300), rng.randrange(300)) for _ in range(600)))
-        f = dfs_forest(g, all_bits(300))
+        f = dfs_forest(g, "1" * 300)
         for a in range(len(f.low)):
             for b in range(a + 1, len(f.low) + 1):
                 assert f.low_min(a, b)[0] == min(f.low[a:b]), (a, b)
@@ -346,7 +412,7 @@ class TestSplitLabels:
 
     @staticmethod
     def split(g, active_bits, deleted):
-        forest = dfs_forest(g, active_bits)
+        forest = dfs_forest(g, active_flags(g.n, active_bits))
         before = forest.labels.copy()
         moved, work, probes = split_labels(g, forest, deleted)
         assert forest.labels == before
@@ -419,7 +485,7 @@ class TestSplitLabels:
         # tree 0-2-1: the only piece hangs under the deleted root 0, so no
         # piece can reach a top piece; the searches find it whole
         g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert dfs_forest(g, all_bits(3)).order == [0, 2, 1]
+        assert dfs_forest(g, "111").order == [0, 2, 1]
         labels, count, work, probes = self.split(g, all_bits(3), [0])
         assert labels == [-1, 0, 0] and count == 1
         assert (work, probes) == (0, 0)
@@ -429,7 +495,7 @@ class TestSplitLabels:
         # 0, 2, ..., 10, 11, 9, ..., 1, so 7 lies under 3 and 3 under 6
         n = 12
         g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
-        assert dfs_forest(g, all_bits(n)).order == [0, 2, 4, 6, 8, 10, 11, 9, 7, 5, 3, 1]
+        assert dfs_forest(g, "1" * n).order == [0, 2, 4, 6, 8, 10, 11, 9, 7, 5, 3, 1]
         labels, count, work, probes = self.split(g, all_bits(n), [7, 3])
         assert (count, work) == (1, 0) and probes > 0  # both pieces reach above their parents
         # the piece 8, 10, 11 under 6 reaches only 6 and the piece below it:
@@ -440,7 +506,7 @@ class TestSplitLabels:
     def test_a_piece_reaching_up_only_to_deleted_ancestors_is_cut_off(self):
         # tree 0-1-3-2; the piece {2} under 3 neighbours 3 and 1 alone
         g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-        assert dfs_forest(g, all_bits(4)).order == [0, 1, 3, 2]
+        assert dfs_forest(g, "1111").order == [0, 1, 3, 2]
         labels, count, _, _ = self.split(g, all_bits(4), [1, 3])
         assert labels[0] != labels[2] and count == 2
 
@@ -448,7 +514,7 @@ class TestSplitLabels:
         # the 4-cycle's tree is 0-3-2-1; the deleted leaf 1 has the lowest
         # low point in the run of the piece {2}, through its edge to 0
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        f = dfs_forest(g, all_bits(4))
+        f = dfs_forest(g, "1111")
         assert (f.order, f.low) == ([0, 3, 2, 1], [0, 0, 1, 0])
         labels, count, _, _ = self.split(g, all_bits(4), [3, 1])
         assert labels[0] != labels[2] and count == 2
@@ -461,7 +527,7 @@ class TestSplitLabels:
         # certificate reads none, and its batches split as the searches do
         rng = random.Random(n)
         g = Graph.from_edges(n, ((rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)))
-        forest = dfs_forest(g, all_bits(n))
+        forest = dfs_forest(g, "1" * n)
         fresh = forest.labels.copy()
         for k in (1, 4, 8):
             ratios = []

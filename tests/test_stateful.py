@@ -23,7 +23,7 @@ from sensconn.bits import iter_bits
 from sensconn.connectivity_oracle import DecrementalOracle, oracle_names
 from sensconn.errors import QueryEndpointError
 from sensconn.fully_dynamic_sensitivity import build_fully_dynamic, fd_query, fd_rollback, fd_update
-from sensconn.graph_core import dfs_forest
+from sensconn.graph_core import active_flags, dfs_forest
 
 from reference import brute_connected
 from strategies import graphs_with_partition
@@ -61,7 +61,7 @@ def machine_for(factory, countdown):
             self.g, self.p = gp
             countdown.left = None
             self.s = build_fully_dynamic(self.g, self.p, factory)
-            self.fresh_labels = dfs_forest(self.g, self.p.on_mask).labels
+            self.fresh_labels = dfs_forest(self.g, active_flags(self.g.n, self.p.on_mask)).labels
             self.session = None
             self.active = set()
 
