@@ -9,7 +9,6 @@ oracles, a brute-force reachability reference, and a verification workbench.
 
 from .connectivity_oracle import (
     DecrementalOracle,
-    OracleCosts,
     RebuildOracle,
     make_oracle,
     oracle_names,
@@ -60,7 +59,6 @@ __all__ = [
     "FullyDynamicStructure",
     "Graph",
     "IncrementalIndex",
-    "OracleCosts",
     "ParseError",
     "PhaseError",
     "QueryEndpointError",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .bits import all_bits, word_count
 from .errors import ContractViolation, PhaseError, QueryEndpointError
@@ -22,23 +21,6 @@ from .graph_core import active_flags, dfs_forest, split_labels
 
 FRESH = "fresh"
 UPDATED = "updated"
-
-
-@dataclass
-class OracleCosts:
-    """Abstract work counters in elementary probes, not wall clock.
-
-    ``t_p`` and ``space_s`` are set by preprocessing; ``t_u`` grows with a
-    push, by every entry it reads and every entry it records, and ``rebase``
-    drops it back to 0. Queries count nothing.
-    """
-
-    t_p: int = 0
-    t_u: int = 0
-    space_s: int = 0
-
-    def rebase(self):
-        self.t_u = 0
 
 
 class DecrementalOracle(abc.ABC):
@@ -64,7 +46,13 @@ class DecrementalOracle(abc.ABC):
     plus one or two extras needs, so a factory implements only the root of a
     family; no member outlives the update that derives it.
 
-    ``delete_batch`` and ``reset`` mutate the oracle and its ``costs``;
+    Three int fields count work in elementary probes, not wall clock:
+    ``t_p``, preprocessing's work, and ``space_s``, the oracle's size, are
+    set by ``_preprocess``; ``t_u`` grows with a push, by every entry it
+    reads and every entry it records, and ``reset`` drops it back to 0.
+    Queries count nothing.
+
+    ``delete_batch`` and ``reset`` mutate the oracle and its ``t_u``;
     ``query``, ``component`` and ``reach`` only read. Concurrent reads of one
     oracle are therefore safe, but none may overlap a push or reset of it.
     """
@@ -73,11 +61,11 @@ class DecrementalOracle(abc.ABC):
     extras: tuple[int, ...] = ()  # a member's vertices beyond its root's
     deleted: frozenset[int] = frozenset()
     phase = FRESH
+    t_p = t_u = space_s = 0
 
     def __init__(self, graph, active: int | None = None):
         self.graph = graph
         self.on = active_flags(graph.n, all_bits(graph.n) if active is None else active)
-        self.costs = OracleCosts()
         self._preprocess()
 
     def _has(self, v: int) -> bool:
@@ -133,7 +121,7 @@ class DecrementalOracle(abc.ABC):
         self.deleted = frozenset()
         self.phase = FRESH
         self._apply_reset()
-        self.costs.rebase()
+        self.t_u = 0
 
     @abc.abstractmethod
     def _preprocess(self): ...
@@ -171,7 +159,6 @@ class Member(DecrementalOracle):
     def __init__(self, root: DecrementalOracle, extras: tuple[int, ...], reach: dict[int, set[int]]):
         self.root, self.extras, self.reach = root, extras, reach
         self.graph, self.on = root.graph, root.on
-        self.costs = OracleCosts()
         self._preprocess()
 
     def _preprocess(self):
@@ -187,7 +174,7 @@ class Member(DecrementalOracle):
 
     def _apply_delete(self, vertices):
         if len(self.extras) == 1:  # its extra's reach set was read for it; pairs reuse that set
-            self.costs.t_u += len(self.graph.adj[self.extras[0]])
+            self.t_u += len(self.graph.adj[self.extras[0]])
 
     def _apply_reset(self):
         pass
@@ -211,13 +198,9 @@ def register_oracle(cls):
 def make_oracle(name: str, graph, active: int | None = None) -> DecrementalOracle:
     """Build the registered oracle ``name`` over ``graph[active]``, the root
     of a new family; ``Member`` derives its members."""
-    return oracle_class(name)(graph, active)
-
-
-def oracle_class(name: str) -> type[DecrementalOracle]:
     if name not in _REGISTRY:
         raise ValueError(f"unknown oracle factory {name!r}; known: {oracle_names()}")
-    return _REGISTRY[name]
+    return _REGISTRY[name](graph, active)
 
 
 def oracle_names() -> list[str]:
@@ -251,16 +234,16 @@ class RebuildOracle(DecrementalOracle):
         self._forest = dfs_forest(g, self.on)
         # the range-minimum table reads each low point once and writes each entry once
         lows = len(self._forest.low) + sum(map(len, self._forest.mins))
-        self.costs.t_p += g.n + 2 * g.m + lows
-        self.costs.space_s = 4 * g.n + lows + self._forest.count + word_count(g.n)
+        self.t_p = g.n + 2 * g.m + lows
+        self.space_s = 4 * g.n + lows + self._forest.count + word_count(g.n)
         self._labels, self._moved = self._forest.labels, {}
 
     def _apply_delete(self, vertices):
         if not vertices:  # the fresh labeling answers already
-            self.costs.t_u += 1
+            self.t_u += 1
             return
         self._moved, reads, probes = split_labels(self.graph, self._forest, vertices)
-        self.costs.t_u += len(vertices) + reads + probes + len(self._moved)
+        self.t_u += len(vertices) + reads + probes + len(self._moved)
 
     def _apply_reset(self):
         self._moved = {}

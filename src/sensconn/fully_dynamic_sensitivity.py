@@ -188,9 +188,6 @@ class DoublingFamily:
                 return c
         raise CapacityError(f"batch of size {d} exceeds the largest capacity {self.capacities[-1]}")
 
-    def structure_for(self, d: int) -> FullyDynamicStructure:
-        return self.structures[self.level_for(d)]
-
     def dispatch_update(self, deactivate, activate) -> tuple[int, SuperGraph]:
         # a vertex on both sides counts once, so fd_update reports the overlap
         cap = self.level_for(len(set(deactivate) | set(activate)))

@@ -8,8 +8,9 @@ graph over the batch with one bit probe per pair, and packs each bridge
 component's members into one mask over the same dense off indices. A query
 then tests a whole bridge component against an endpoint's component with one
 AND of two n_off-bit masks. The bridge graph (SuperGraph), which the fully
-dynamic engine's batches share, is the batch's only record, and counts both: a query counts the bit probes that a scan of each
-component's members in ascending order would make, at most 2d.
+dynamic engine's batches share, is the batch's only record, and counts both:
+a query counts the bit probes that a scan of each component's members in
+ascending order would make, at most 2d.
 
 The index is never mutated by updates, so rollback is simply dropping the
 SuperGraph an update returned. Queries write only their SuperGraph's

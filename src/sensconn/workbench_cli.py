@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
         report.results, most = _run_queries(queries, partial(fd_query, s, sg), sg)
         counters.update(
             preprocess_oracle_count=s.oracle_count,
-            preprocess_probes=s.base.costs.t_p,
+            preprocess_probes=s.base.t_p,
             update_delete_calls=sg.pushes,
             update_pair_queries=sg.build_probes,
             query_calls_total=sg.query_probes,

@@ -151,7 +151,7 @@ def test_doubling_dispatch():
     assert fam.level_for(1) == 2
     cap, session = fam.dispatch_update([4, 5], [0])
     assert cap == 4
-    fd_rollback(fam.structure_for(3), session)
+    fd_rollback(fam.structures[fam.level_for(3)], session)
     print("PASS doubling dispatch: levels (2, 4, 8), size-3 batches route to level 4")
 
 

@@ -70,7 +70,7 @@ class TestBuild:
         g, p = p5
         s = build_fully_dynamic(g, p)
         f = s.base._forest
-        assert s.base.costs.t_p == g.n + 2 * g.m + len(f.low) + sum(map(len, f.mins)) > 0
+        assert s.base.t_p == g.n + 2 * g.m + len(f.low) + sum(map(len, f.mins)) > 0
 
 
 class TestUpdate:
@@ -233,7 +233,7 @@ class TestLabelingsPerBatch:
         s = build_fully_dynamic(path_graph(n), StatePartition.from_off(n, []))
         a = fd_update(s, [5], [])
         assert labelings == ["1" * n]  # the build's, none for the update
-        assert s.base.costs.t_u <= 40
+        assert s.base.t_u <= 40
         assert fd_query(s, a, 0, 4) is True
         assert fd_query(s, a, 4, 6) is False
         assert fd_query(s, a, 6, n - 1) is True
@@ -263,7 +263,7 @@ class TestPushCost:
         s = build_fully_dynamic(g, p)
         a = fd_update(s, [1_000, n - 1_000], p.off_vertices)
         assert a.pushes == len(pushed) == 1 + 3 + 3
-        assert all(o.costs.t_u < 100 for o in pushed[1:])
+        assert all(o.t_u < 100 for o in pushed[1:])
         assert fd_query(s, a, 0, 999) and fd_query(s, a, 1_001, n - 1_001)  # through the activated vertices
         assert not fd_query(s, a, 999, 1_001)
         fd_rollback(s, a)
@@ -311,7 +311,7 @@ class TestPushCost:
             ratios = []
             for k in (4, 8):
                 for down in self.pushes(g, p, s, rng, k, 50):
-                    ratios.append(s.base.costs.t_u / (k + sum(len(g.adj[x]) for x in down)))
+                    ratios.append(s.base.t_u / (k + sum(len(g.adj[x]) for x in down)))
             medians.append(statistics.median(ratios))
             maxima.append(max(ratios))
         assert max(medians) <= 2, medians
@@ -345,7 +345,7 @@ class TestPushCost:
             for down in self.pushes(g, p, s, rng, 4, 50):
                 if decided[-1]:  # it read no adjacency and relabeled nothing
                     assert reads[-1] == 0 and s.base._moved == {}
-                    ratios.append(s.base.costs.t_u / (4 + sum(len(g.adj[x]) for x in down)))
+                    ratios.append(s.base.t_u / (4 + sum(len(g.adj[x]) for x in down)))
             assert len(decided) == len(reads) == 50  # one root push per batch; members split nothing
             assert len(ratios) >= 45, (g.n, len(ratios))
             medians.append(statistics.median(ratios))
@@ -365,8 +365,8 @@ class TestPushCost:
             down = rng.sample(sorted(iter_bits(p.on_mask)), rng.randint(0, 3))
             pushed.clear()
             a = fd_update(s, down, up)
-            assert sum(o.costs.t_u for o in pushed[1:]) == sum(len(g.adj[x]) for x in up)
-            assert all(o.costs.t_u == 0 for o in pushed[1 + len(up):])
+            assert sum(o.t_u for o in pushed[1:]) == sum(len(g.adj[x]) for x in up)
+            assert all(o.t_u == 0 for o in pushed[1 + len(up):])
             fd_rollback(s, a)
 
     def test_an_engine_update_checks_its_batch_once(self, monkeypatch):
@@ -498,8 +498,8 @@ class TestInactiveHub:
         a = fd_update(s, [2], [0, 1])
         hub, leaf, pair = pushed[1:]
         assert hub.extras == (0,) and len(a.reach[0]) == leaves - 2
-        assert 0 < hub.costs.t_u <= 3 * leaves
-        assert leaf.costs.t_u == 1 and pair.costs.t_u == 0  # the pair reuses both reach sets
+        assert 0 < hub.t_u <= 3 * leaves
+        assert leaf.t_u == 1 and pair.t_u == 0  # the pair reuses both reach sets
         assert fd_query(s, a, 1, leaves) is True
         assert fd_query(s, a, 3, leaves) is True
         fd_rollback(s, a)
@@ -782,8 +782,8 @@ class TestDoubling:
         assert fam.level_for(0) == 2
         cap, session = fam.dispatch_update([0, 2], [1])
         assert cap == 4
-        assert fd_query(fam.structure_for(3), session, 1, 4) is False
-        fd_rollback(fam.structure_for(3), session)
+        assert fd_query(fam.structures[fam.level_for(3)], session, 1, 4) is False
+        fd_rollback(fam.structures[fam.level_for(3)], session)
 
     def test_oversized_batch_rejected(self, p5):
         g, p = p5
@@ -792,7 +792,7 @@ class TestDoubling:
             fam.level_for(3)
         with pytest.raises(CapacityError):
             fam.dispatch_update([0, 1, 3], [])
-        s = fam.structure_for(2)
+        s = fam.structures[fam.level_for(2)]
         assert s.session is None
         assert s.base.phase == "fresh" and not s.base.deleted
 
@@ -800,7 +800,7 @@ class TestDoubling:
         fam = build_doubling(path_graph(6), StatePartition.from_off(6, [2, 4]), 2)
         with pytest.raises(ContractViolation, match=r"vertices \[1\] appear on both sides of the batch"):
             fam.dispatch_update([1], [1, 4])
-        assert fam.structure_for(2).session is None
+        assert fam.structures[fam.level_for(2)].session is None
 
     def test_invalid_capacity(self, p5):
         g, p = p5

@@ -1,7 +1,11 @@
-"""README's "Library use" block runs against the current API."""
+"""README's "Library use" block runs against the current API, and its
+counter table names real counters."""
 
+import dataclasses
 import re
 from pathlib import Path
+
+import sensconn
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,6 +14,13 @@ def library_use_block() -> str:
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library use"):]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def counter_column() -> list[str]:
+    """The counter cell of each row of README's claim/counter table."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| claim | counter |"):].split("\n\n", 1)[0]
+    return [row.rsplit("|", 2)[1] for row in table.splitlines()[2:]]
 
 
 def test_library_use_block_runs(tmp_path, monkeypatch, pushed):
@@ -24,3 +35,14 @@ def test_library_use_block_runs(tmp_path, monkeypatch, pushed):
     assert pushed[0] is scope["s"].base and scope["a"].pushes == len(pushed) == 4
     assert scope["s"].base.deleted == frozenset()  # the deactivation of 3 was rolled back
     assert scope["s"].session is None
+
+
+def test_counter_table_names_real_fields():
+    named = [m.groups() for cell in counter_column() for m in re.finditer(r"`([A-Z]\w*)\.(\w+)`", cell)]
+    assert {c for c, _ in named} >= {"DecrementalOracle", "IncrementalIndex", "SuperGraph"}
+    for cls_name, attr in named:
+        assert cls_name in sensconn.__all__, f"{cls_name} is not exported by sensconn"
+        cls = getattr(sensconn, cls_name)
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        is_class_attr = any(attr in vars(k) for k in cls.__mro__) and not callable(getattr(cls, attr))
+        assert attr in fields or is_class_attr, f"{cls_name}.{attr} is neither a field nor a class attribute"
