@@ -4,7 +4,9 @@ Writes the 1,000,000-vertex path with 30 inactive vertices, a batch of 4
 deactivations and 4 activations, and 1,000 queries between vertices active
 after the batch, into a temporary directory. Runs ``sensconn run --algo fd``
 on them as a child process, and exits 1 when the child exits non-zero or
-its peak RSS (``ru_maxrss``) exceeds ``MAX_RSS_MB``:
+its peak RSS (``ru_maxrss``) exceeds ``MAX_RSS_MB``. Beside the total wall
+time it prints the child's own phase times from its ``--report``; the rest
+of the total is start-up and loading the files:
 
     python ci/cap_run.py
 
@@ -32,6 +34,7 @@ QUERIES = 1_000
 # moves the peak by 14 MB
 MAX_RSS_MB = 330
 SRC = Path(__file__).resolve().parent.parent / "src"
+PHASES = ("wall_preprocess_s", "wall_update_s", "wall_query_s")
 
 
 def write_inputs(directory: Path) -> list[Path]:
@@ -63,14 +66,18 @@ def write_inputs(directory: Path) -> list[Path]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         graph, update, query = write_inputs(Path(tmp))
+        report = Path(tmp) / "report.txt"
         cmd = [sys.executable, "-m", "sensconn.workbench_cli", "run", "--algo", "fd",
-               "--graph", str(graph), "--update", str(update), "--query", str(query)]
+               "--graph", str(graph), "--update", str(update), "--query", str(query),
+               "--report", str(report)]
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         t0 = time.perf_counter()
         done = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.DEVNULL)
         wall = time.perf_counter() - t0
+        kv = dict(line.split("=", 1) for line in report.read_text().splitlines()) if report.exists() else {}
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"sensconn run --algo fd, n={N}: exit {done.returncode}, {wall:.2f} s, "
+    phases = "".join(f", {key} {float(kv[key]):.3f}" for key in PHASES if key in kv)
+    print(f"sensconn run --algo fd, n={N}: exit {done.returncode}, {wall:.2f} s{phases}, "
           f"peak RSS {peak_mb:.1f} MB (bound {MAX_RSS_MB})")
     if done.returncode != 0:
         print("FAIL: the run exited non-zero", file=sys.stderr)

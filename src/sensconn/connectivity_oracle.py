@@ -142,7 +142,9 @@ class DecrementalOracle(abc.ABC):
 class Member(DecrementalOracle):
     """The oracle over ``root``'s active vertices plus one or two
     ``extras``, inactive in the root, for the batch the root holds now.
-    ``reach`` maps each extra to ``root.reach`` of it after that batch.
+    ``reach`` maps each extra to ``root.reach`` of it after that batch; the
+    member keeps it as ``_reach``, so its own inherited ``reach(x)`` stays
+    callable.
 
     Nothing is built: an extra joins the root components its reach set
     holds, and two extras join each other when they are adjacent or reach a
@@ -157,7 +159,7 @@ class Member(DecrementalOracle):
     joined = True  # one extra, or two that are adjacent or reach a common component
 
     def __init__(self, root: DecrementalOracle, extras: tuple[int, ...], reach: dict[int, set[int]]):
-        self.root, self.extras, self.reach = root, extras, reach
+        self.root, self.extras, self._reach = root, extras, reach
         self.graph, self.on = root.graph, root.on
         self._preprocess()
 
@@ -166,7 +168,7 @@ class Member(DecrementalOracle):
             a, b = self.extras
             adj = self.graph.adj[a]  # sorted: one bisect, O(log deg), tests the edge
             i = bisect_left(adj, b)
-            self.joined = (i < len(adj) and adj[i] == b) or not self.reach[a].isdisjoint(self.reach[b])
+            self.joined = (i < len(adj) and adj[i] == b) or not self._reach[a].isdisjoint(self._reach[b])
 
     def _check_batch(self, vertices):
         if vertices is not self.root.deleted:
@@ -182,7 +184,7 @@ class Member(DecrementalOracle):
     def _component(self, v):
         c = ~v if v in self.extras else self.root._component(v)
         for x in self.extras:
-            if c == ~x or c in self.reach[x]:
+            if c == ~x or c in self._reach[x]:
                 return ~self.extras[0] if self.joined else ~x
         return c
 

@@ -15,8 +15,10 @@ Query file: vertex ids read in pairs ``u v``; an odd count is an error.
 All three formats are whitespace-separated tokens in any line layout, so
 ``+1 -2\n+3`` is one update and ``0\n4 1\n3`` the queries (0, 4), (1, 3);
 a line break only ends a ``#`` comment and numbers errors. Every number is
-written in ASCII digits only. A text is split into tokens once and each
-section converted in bulk; its lines are walked only to name a fault.
+written in ASCII digits only. All three formats are read by one reader: a
+text is split into tokens once and each section converted in bulk; only a
+faulty section is read token by token, and its lines are walked only to
+name the fault.
 """
 
 from __future__ import annotations
@@ -548,11 +550,11 @@ def _ids(
     read token by token, raising ParseError at its first fault or at the end
     of input. ``outside`` and ``repeated`` are formatted with ``v`` and ``n``."""
     sec = toks[start:stop]
-    joined = "".join(sec)  # each token is non-empty
+    joined = "".join(sec)
     if stop <= len(toks) and (not sec or joined.isascii() and joined.isdigit()):
         try:
             ids = list(map(int, sec))
-        except ValueError:  # more digits than int() reads
+        except ValueError:  # an empty token (a bare sign), or more digits than int() reads
             pass
         else:
             if (n is None or max(ids, default=-1) < n) and not (repeated and len(set(ids)) < len(ids)):
@@ -617,26 +619,17 @@ def dump_graph(g: Graph, p: StatePartition) -> str:
 
 
 def parse_update_text(text: str, n: int) -> tuple[list[int], list[int]]:
-    """Parse an update file into (deactivate, activate) vertex lists. A
-    batch is small, so each token is checked on its own, in reading order."""
-    deactivate: list[int] = []
-    activate: list[int] = []
-    seen: set[int] = set()
-    for i, tok in enumerate(_tokens(text)):
-        try:
-            sign = tok[0]
-            if sign not in "+-":
-                raise ParseError(f"expected '+v' or '-v', got {tok!r}")
-            v = parse_int(tok[1:], "vertex id after the sign")
-            if v >= n:
-                raise ParseError(f"vertex id {v} outside [0, {n})")
-            if v in seen:
-                raise ParseError(f"vertex {v} flipped more than once in the batch")
-        except ParseError as e:
-            raise ParseError(str(e), _line(text, i)) from None
-        seen.add(v)
-        (activate if sign == "+" else deactivate).append(v)
-    return deactivate, activate
+    """Parse an update file into (deactivate, activate) vertex lists, each in
+    reading order. The ids before the first unsigned token are converted as
+    one section, so of several faults the first in reading order is reported."""
+    toks = _tokens(text)
+    bad = next((i for i, tok in enumerate(toks) if tok[0] not in "+-"), len(toks))
+    msgs = "vertex id {v} outside [0, {n})", "vertex {v} flipped more than once in the batch"
+    ids = _ids(text, [tok[1:] for tok in toks], 0, bad, "vertex id after the sign", n, *msgs)
+    if bad < len(toks):
+        raise ParseError(f"expected '+v' or '-v', got {toks[bad]!r}", _line(text, bad))
+    signed = list(zip(toks, ids))
+    return [v for tok, v in signed if tok[0] == "-"], [v for tok, v in signed if tok[0] == "+"]
 
 
 def parse_query_text(text: str) -> list[tuple[int, int]]:

@@ -346,6 +346,17 @@ class TestSharedLabeling:
         with pytest.raises(PhaseError):
             o.delete_batch(root.deleted)
 
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_no_instance_attribute_hides_an_oracle_method(self, factory):
+        # path 0-1-2-3-4 with 2 and 4 inactive in the root, which holds {0}
+        root = make_oracle(factory, path_graph(5), mask_of([0, 1, 3]))
+        root.delete_batch({0})
+        pair = member_of(root, (2, 4))
+        methods = {a for a in dir(DecrementalOracle) if callable(getattr(DecrementalOracle, a))}
+        for o in (root, member_of(root, (2,)), pair):
+            assert not methods & vars(o).keys()
+        assert pair.reach(4) == {pair.component(3)}
+
     def test_a_pair_joins_through_an_edge_or_a_common_component(self):
         # path 0-...-7 with 1, 2 and 6 inactive in the root, whose components
         # are {0}, {3, 4, 5} and {7}: 1 and 2 are adjacent, and 1 and 6

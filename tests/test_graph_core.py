@@ -616,12 +616,27 @@ class TestUpdateAndQueryFiles:
             ("+1 ++1 x", "line 1: expected vertex id after the sign, got '+1'"),
             ("+1\n# c\n-1 x", "line 3: vertex 1 flipped more than once in the batch"),
             ("-3 +\n+9", "line 1: expected vertex id after the sign, got ''"),
+            # a sign fault before a later id fault, and one past a comment line
+            ("+1 x +9", "line 1: expected '+v' or '-v', got 'x'"),
+            ("-0\n# c\n+1 x\n+9", "line 3: expected '+v' or '-v', got 'x'"),
         ],
     )
     def test_update_first_fault_in_reading_order_is_reported(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_update_text(text, 5)
         assert str(exc.value) == message
+
+    @given(st.integers(1, 40), st.data())
+    def test_update_round_trip(self, n, data):
+        ids = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        # each id's sign, and what follows its token: a space, line breaks or a comment line
+        tails = st.tuples(st.sampled_from("+-"), st.sampled_from([" ", "\t", "\n", "\n\n", "\n# -0 +1\n"]))
+        layout = data.draw(st.lists(tails, min_size=len(ids), max_size=len(ids)))
+        signs = [sign for sign, _ in layout]
+        text = "".join(f"{sign}{v}{sep}" for v, (sign, sep) in zip(ids, layout))
+        down = [v for sign, v in zip(signs, ids) if sign == "-"]
+        up = [v for sign, v in zip(signs, ids) if sign == "+"]
+        assert parse_update_text(text, n) == (down, up)
 
     @pytest.mark.parametrize(
         "text, message",
